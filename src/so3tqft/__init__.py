@@ -24,7 +24,6 @@ from .weil import (
     build_weil,
     heisenberg_action,
     heisenberg_presentation,
-    odd_restriction,
     verify_odd_block_identification,
 )
 from .fusion_dims import (

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 
@@ -263,9 +262,25 @@ def _cmd_image(args):
         "mod_r_graph": report["mod_r_graph"],
         "linear_lift": report["linear_lift"],
         "r_mod_4": report["r_mod_4"],
-        "wall_time": report["wall_time"],
     }
     return EXIT_OK, report
+
+
+def _ltwo_all_pairs(r):
+    """Every tensor product of two nontrivial irreducibles of SL2(F_r) has a
+    constituent of degree > (r-1)/2."""
+    tbl = sl2_table(r)
+    half = (r - 1) // 2
+    triv = tbl.trivial_index()
+    k = tbl.num_classes()
+    for a in range(k):
+        for b in range(a, k):
+            if triv in (a, b):
+                continue
+            mults = tensor_decompose(tbl, a, b)
+            if not any(m and tbl.degrees[c] > half for c, m in enumerate(mults)):
+                return False
+    return True
 
 
 def _cmd_chartab(args):
@@ -300,16 +315,7 @@ def _cmd_chartab(args):
     }
     failures = []
     if args.check_ltwo:
-        half = (r - 1) // 2
-        triv = tbl.trivial_index()
-        ok = True
-        for a in range(k):
-            for b in range(a, k):
-                if a == triv or b == triv:
-                    continue
-                mults = tensor_decompose(tbl, a, b)
-                if not any(m and tbl.degrees[c] > half for c, m in enumerate(mults)):
-                    ok = False
+        ok = _ltwo_all_pairs(r)
         report["ltwo_all_pairs"] = ok
         if not ok:
             failures.append("ltwo")
@@ -443,26 +449,8 @@ def _cmd_verify_all(args):
         check("weil-image-equality", lambda: weil_image_equality(r))
 
     if r <= MAX_CHARTAB_R:
-        def ltwo():
-            tbl = sl2_table(r)
-            half = (r - 1) // 2
-            triv = tbl.trivial_index()
-            k = tbl.num_classes()
-            for a in range(k):
-                if a == triv:
-                    continue
-                for b in range(a, k):
-                    if b == triv:
-                        continue
-                    mults = tensor_decompose(tbl, a, b)
-                    if not any(
-                        m and tbl.degrees[c] > half for c, m in enumerate(mults)
-                    ):
-                        return False
-            return True
-
         check("chartab-orthogonality", lambda: sl2_table(r) is not None)
-        check("ltwo-exhaustive", ltwo)
+        check("ltwo-exhaustive", lambda: _ltwo_all_pairs(r))
 
     failed = [name for name, ok, _ in checks if not ok]
     report = {
@@ -496,12 +484,6 @@ def build_parser():
         p.add_argument("--csv", action="store_true", help="CSV output")
         p.add_argument("--out", help="write output to this path")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("SO3_THREADS", "1")),
-            help="cap on worker count (computation is deterministic regardless)",
-        )
 
     p = sub.add_parser("modular-data", help="labels, quantum dimensions, twists, S/T data")
     add_common(p)

@@ -6,11 +6,14 @@ common positive denominator (gcd-normalized).  This representation is
 canonical: two elements are equal iff their stored data are equal, so
 CycNumber is hashable and equality is O(1) exact.
 
-Multiplication is polynomial convolution followed by reduction against
-precomputed rows for z^k, k >= phi(N).  When coefficients are small enough
-the convolution runs on int64 numpy arrays; otherwise a pure-Python big-int
-path is used, so results are exact regardless of size.  Inversion is the
-extended Euclidean algorithm against the cyclotomic polynomial over Q.
+Multiplication is one numpy convolution followed by reduction against the
+precomputed rows for z^k, k >= phi(N) (CycField.reduce, shared with the
+matrix kernel in cycmatrix).  Every product runs the same code; only the
+dtype of its work arrays is chosen per call: int64 when a worst-case
+magnitude bound proves it cannot overflow, numpy object arrays of Python ints
+otherwise (work_dtype), so results are exact and identical either way.
+Inversion is the extended Euclidean algorithm against the cyclotomic
+polynomial over Q.
 """
 
 from __future__ import annotations
@@ -77,9 +80,20 @@ def cyclotomic_polynomial(n: int) -> tuple:
     return tuple(poly)
 
 
+# int64 work is safe when the worst-case accumulated magnitude stays below this
+_INT64_GUARD = 1 << 61
+
+
+def work_dtype(bound: int):
+    """dtype for exact integer work whose magnitudes are at most `bound`:
+    int64 when that provably cannot overflow, Python ints (object) otherwise."""
+    return np.int64 if bound < _INT64_GUARD else object
+
+
 class CycField:
     """Shared immutable data for Q(zeta_N): reduction tables, power tables,
-    and fast-multiplication kernels.  Obtain instances via get_field(N)."""
+    and the pieces of the exact product kernel.  Obtain instances via
+    get_field(N)."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -103,7 +117,6 @@ class CycField:
                     nxt[j] -= lead * phi[j]
             cur = nxt
             rows.append(tuple(cur))
-        self.red_rows = tuple(rows)
         self.red_np = (
             np.array(rows, dtype=np.int64)
             if rows
@@ -135,20 +148,6 @@ class CycField:
         self.conj_rows = conj_rows
         self.conj_max = int(np.abs(conj_rows).max())
 
-        # pq[p*d+q] = x^(p+q) mod Phi, used by the matrix einsum kernel
-        if d <= 64:
-            full = np.zeros((2 * d - 1, d), dtype=np.int64)
-            for k in range(d):
-                full[k, k] = 1
-            if rows:
-                full[d:] = self.red_np
-            pq = np.zeros((d * d, d), dtype=np.int64)
-            for p in range(d):
-                pq[p * d : (p + 1) * d] = full[p : p + d]
-            self.pq = pq
-        else:
-            self.pq = None
-
         self.unit_complex = np.array(
             [cmath.exp(2j * cmath.pi * k / n) for k in range(d)]
         )
@@ -159,6 +158,27 @@ class CycField:
 
     def __repr__(self):
         return f"CycField(Q(zeta_{self.n}))"
+
+    def product_dtype(self, ma: int, mb: int, terms: int = 1):
+        """Work dtype for a sum of `terms` products of coefficient vectors
+        bounded by ma and mb: bounds the operands, the convolution and its
+        reduction."""
+        d = self.degree
+        return work_dtype(max(ma, mb, ma * mb * terms * d * (1 + d * self.red_max)))
+
+    def reduce(self, full):
+        """Reduce convolution coefficients (last axis, length <= 2d - 1)
+        modulo Phi_N; the dtype of `full` is kept."""
+        d = self.degree
+        tail = full[..., d:]
+        red = self.red_np[: tail.shape[-1]].astype(full.dtype, copy=False)
+        return full[..., :d] + tail @ red
+
+    def conj_coeffs(self, arr, ma: int):
+        """Coefficients of the complex conjugates of the elements stored
+        along the last axis of arr, whose coefficients are bounded by ma."""
+        dt = work_dtype(ma * self.conj_max * self.degree)
+        return arr.astype(dt, copy=False) @ self.conj_rows.astype(dt, copy=False)
 
     def zeta_power(self, k: int) -> "CycNumber":
         """zeta_N^k as an exact element (k may be any integer)."""
@@ -190,38 +210,6 @@ def get_field(n: int) -> CycField:
     return CycField(n)
 
 
-def _reduce_tail_int(full, field):
-    """Reduce a convolution result (length <= 2d-1) to the basis, big ints."""
-    d = field.degree
-    out = list(full[:d]) + [0] * (d - len(full[:d]))
-    for k in range(d, len(full)):
-        c = full[k]
-        if c:
-            row = field.red_rows[k - d]
-            for j in range(d):
-                if row[j]:
-                    out[j] += c * row[j]
-    return out
-
-
-def _mul_raw(a, b, field):
-    """Exact product of two coefficient tuples (no denominators)."""
-    d = field.degree
-    if d == 1:
-        return [a[0] * b[0]]
-    full = [0] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    full[i + j] += x * y
-    return _reduce_tail_int(full, field)
-
-
-# int64 convolution is safe when the worst-case accumulated magnitude fits
-_INT64_GUARD = 1 << 61
-
-
 class CycNumber:
     """An exact element of Q(zeta_N).  Immutable, canonical, hashable."""
 
@@ -233,15 +221,13 @@ class CycNumber:
             self.num = num
             self.den = den
             return
-        num = tuple(int(x) for x in num)
+        num = tuple(map(int, num))
         den = int(den)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if len(num) != field.degree:
             raise ValueError("coefficient vector has wrong length")
-        g = 0
-        for x in num:
-            g = gcd(g, x)
+        g = gcd(*num)
         if g == 0:
             self.num = (0,) * field.degree
             self.den = 1
@@ -289,7 +275,7 @@ class CycNumber:
         return Fraction(self.num[0], self.den)
 
     def max_abs_coeff(self) -> int:
-        return max((abs(x) for x in self.num), default=0)
+        return max(map(abs, self.num), default=0)
 
     # -- ring operations ----------------------------------------------------
 
@@ -331,20 +317,13 @@ class CycNumber:
         if o is None:
             return NotImplemented
         f = self.field
-        d = f.degree
         ma = self.max_abs_coeff()
         mb = o.max_abs_coeff()
         if ma == 0 or mb == 0:
             return f.zero
-        if ma * mb * d * (1 + d * f.red_max) < _INT64_GUARD:
-            a = np.array(self.num, dtype=np.int64)
-            b = np.array(o.num, dtype=np.int64)
-            full = np.convolve(a, b)
-            out = full[:d].copy()
-            if len(full) > d:
-                out[: d] += full[d:] @ f.red_np[: len(full) - d]
-            return CycNumber(f, out, self.den * o.den)
-        return CycNumber(f, _mul_raw(self.num, o.num, f), self.den * o.den)
+        dt = f.product_dtype(ma, mb)
+        full = np.convolve(np.array(self.num, dtype=dt), np.array(o.num, dtype=dt))
+        return CycNumber(f, f.reduce(full).tolist(), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -388,17 +367,8 @@ class CycNumber:
     def conj(self) -> "CycNumber":
         """Complex conjugation, the field automorphism zeta -> zeta^(-1)."""
         f = self.field
-        ma = self.max_abs_coeff()
-        if ma * f.conj_max * f.degree < _INT64_GUARD:
-            v = np.array(self.num, dtype=np.int64) @ f.conj_rows
-            return CycNumber(f, v, self.den)
-        out = [0] * f.degree
-        for j, x in enumerate(self.num):
-            if x:
-                row = f.pw[(f.n - j) % f.n]
-                for i in range(f.degree):
-                    out[i] += x * int(row[i])
-        return CycNumber(f, out, self.den)
+        v = f.conj_coeffs(np.array(self.num, dtype=object), self.max_abs_coeff())
+        return CycNumber(f, v.tolist(), self.den)
 
     # -- comparisons / hashing ----------------------------------------------
 

@@ -1,38 +1,87 @@
 """Dense matrices over a cyclotomic field.
 
 CycMatrix is the carrier for every representation matrix in the package.
-Entries are CycNumber; all operations are exact.  Matrix products and scalar
-products route through an int64 einsum kernel (convolution of coefficient
-blocks contracted against the field's reduction table) whenever a worst-case
-magnitude bound shows that int64 cannot overflow, and fall back to big-int
-arithmetic otherwise.
+All entries live in one (rows, cols, degree) integer array of power-basis
+coefficients over a single positive denominator, gcd-normalized once per
+matrix.  The array is int64 whenever every coefficient fits and an object
+array of Python ints otherwise, so the stored data are canonical and key()
+is exact.  Every operation has one numpy code path: products accumulate
+shifted coefficient blocks and reduce them through the field's reduction
+table, exactly as scalar products do, and only the dtype of the work arrays
+is chosen per call from a worst-case magnitude bound (int64 where it cannot
+overflow, Python ints otherwise).  CycNumber objects are built only at the
+API edge: indexing, entries, rows, JSON output and embedding.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .cyclo import CycField, CycNumber, _INT64_GUARD
+from .cyclo import CycField, CycNumber, work_dtype
 
 __all__ = ["CycMatrix"]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-def _lcm(a, b):
-    return a // gcd(a, b) * b
+
+def _max_abs(arr) -> int:
+    return int(np.abs(arr).max(initial=0))
+
+
+def _product(field: CycField, a, b):
+    """Coefficients of the matrix product of the blocks a (m, n, d) and
+    b (n, k, d), denominators aside."""
+    m, n, d = a.shape
+    k = b.shape[1]
+    dt = field.product_dtype(_max_abs(a), _max_abs(b), n)
+    a = a.astype(dt, copy=False)
+    b = b.astype(dt, copy=False).reshape(n, k * d)
+    full = np.zeros((m, k, 2 * d - 1), dtype=dt)
+    for p in range(d):
+        full[:, :, p : p + d] += (a[:, :, p] @ b).reshape(m, k, d)
+    return field.reduce(full)
 
 
 class CycMatrix:
-    __slots__ = ("field", "rows", "cols", "entries")
+    """An exact matrix over Q(zeta_N).  Immutable, canonical, hashable."""
+
+    __slots__ = ("field", "rows", "cols", "den", "arr")
 
     def __init__(self, field: CycField, rows: int, cols: int, entries):
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        den = lcm(*(e.den for e in entries))
+        arr = np.array(
+            [[x * (den // e.den) for x in e.num] for e in entries], dtype=object
+        )
+        self._set(field, arr.reshape(rows, cols, field.degree), den)
+
+    @classmethod
+    def _from_array(cls, field: CycField, arr, den: int) -> "CycMatrix":
+        out = cls.__new__(cls)
+        out._set(field, arr, den)
+        return out
+
+    def _set(self, field, arr, den):
+        """Store arr / den in canonical form: gcd-normalized, positive
+        denominator (1 for the zero matrix), int64 exactly when every
+        coefficient fits."""
+        content = int(np.gcd.reduce(arr, axis=None))
+        if content == 0:
+            den = 1
+        g = gcd(content, den)
+        if g > 1:
+            arr = arr // g
+            den //= g
+        if arr.dtype == object and _max_abs(arr) <= _INT64_MAX:
+            arr = arr.astype(np.int64)
+        arr.setflags(write=False)
         self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = list(entries)
+        self.rows, self.cols = arr.shape[:2]
+        self.den = den
+        self.arr = arr
 
     # -- constructors --------------------------------------------------------
 
@@ -49,8 +98,9 @@ class CycMatrix:
 
     @staticmethod
     def identity(field, n):
-        flat = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
-        return CycMatrix(field, n, n, flat)
+        arr = np.zeros((n, n, field.degree), dtype=np.int64)
+        arr[range(n), range(n), 0] = 1
+        return CycMatrix._from_array(field, arr, 1)
 
     @staticmethod
     def diagonal(field, diag):
@@ -62,116 +112,54 @@ class CycMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return CycNumber(self.field, self.arr[i, j].tolist(), self.den)
 
     def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return [CycNumber(self.field, v, self.den) for v in self.arr[i].tolist()]
 
-    # -- packing for the fast kernel -------------------------------------------
-
-    def _pack(self):
-        """(int64 array (rows, cols, degree), common denominator) or None
-        when the scaled coefficients do not safely fit."""
-        d = self.field.degree
-        den = 1
-        for e in self.entries:
-            den = _lcm(den, e.den)
-            if den > (1 << 40):
-                return None
-        arr = np.zeros((self.rows, self.cols, d), dtype=np.int64)
-        maxabs = 0
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entries[i * self.cols + j]
-                f = den // e.den
-                m = e.max_abs_coeff() * f
-                if m > maxabs:
-                    maxabs = m
-                if m >= (1 << 50):
-                    return None
-                if m:
-                    arr[i, j] = np.array(e.num, dtype=np.int64) * f
-        return arr, den, maxabs
-
-    def _unpack(self, arr, den):
-        f = self.field
-        flat = [
-            CycNumber(f, arr[i, j], den)
-            for i in range(arr.shape[0])
-            for j in range(arr.shape[1])
-        ]
-        return CycMatrix(f, arr.shape[0], arr.shape[1], flat)
+    @property
+    def entries(self):
+        """All entries in row-major order."""
+        return [e for i in range(self.rows) for e in self.row(i)]
 
     # -- arithmetic -------------------------------------------------------------
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.cols != other.rows or self.field is not other.field:
             raise ValueError("incompatible matrices")
-        f = self.field
-        d = f.degree
-        if f.pq is not None:
-            pa = self._pack()
-            pb = other._pack()
-            if pa is not None and pb is not None:
-                a, da, ma = pa
-                b, db, mb = pb
-                if ma * mb * self.cols * d * (1 + d * f.red_max) < _INT64_GUARD:
-                    raw = np.einsum("ijp,jkq->ikpq", a, b).reshape(
-                        self.rows, other.cols, d * d
-                    )
-                    out = raw @ f.pq
-                    return self._unpack(out, da * db)
-        # exact fallback
-        flat = []
-        for i in range(self.rows):
-            for k in range(other.cols):
-                acc = f.zero
-                for j in range(self.cols):
-                    acc = acc + self.entries[i * self.cols + j] * other.entries[
-                        j * other.cols + k
-                    ]
-                flat.append(acc)
-        return CycMatrix(f, self.rows, other.cols, flat)
+        out = _product(self.field, self.arr, other.arr)
+        return CycMatrix._from_array(self.field, out, self.den * other.den)
 
     def scalar_mul(self, c: CycNumber) -> "CycMatrix":
-        f = self.field
-        d = f.degree
-        if f.pq is not None:
-            pa = self._pack()
-            if pa is not None:
-                a, da, ma = pa
-                mc = c.max_abs_coeff()
-                if ma * mc * d * (1 + d * f.red_max) < _INT64_GUARD:
-                    cv = np.array(c.num, dtype=np.int64)
-                    raw = np.einsum("ijp,q->ijpq", a, cv).reshape(
-                        self.rows, self.cols, d * d
-                    )
-                    out = raw @ f.pq
-                    return self._unpack(out, da * c.den)
-        return CycMatrix(f, self.rows, self.cols, [e * c for e in self.entries])
+        d = self.field.degree
+        a = self.arr.reshape(-1, 1, d)
+        b = np.array(c.num, dtype=object).reshape(1, 1, d)
+        out = _product(self.field, a, b).reshape(self.arr.shape)
+        return CycMatrix._from_array(self.field, out, self.den * c.den)
+
+    def _combine(self, other, sign):
+        """self + sign * other."""
+        if (
+            self.rows != other.rows
+            or self.cols != other.cols
+            or self.field is not other.field
+        ):
+            raise ValueError("shape mismatch")
+        den = lcm(self.den, other.den)
+        fa = den // self.den
+        fb = den // other.den
+        dt = work_dtype(max(fa, fb, _max_abs(self.arr) * fa + _max_abs(other.arr) * fb))
+        arr = self.arr.astype(dt) * fa + other.arr.astype(dt) * (sign * fb)
+        return CycMatrix._from_array(self.field, arr, den)
 
     def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return CycMatrix(
-            self.field,
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return CycMatrix(
-            self.field,
-            self.rows,
-            self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return CycMatrix(self.field, self.rows, self.cols, [-e for e in self.entries])
+        return CycMatrix._from_array(self.field, -self.arr, self.den)
 
     def matpow(self, k: int) -> "CycMatrix":
         if self.rows != self.cols:
@@ -189,84 +177,52 @@ class CycMatrix:
         return out
 
     def conj_transpose(self) -> "CycMatrix":
-        flat = [
-            self.entries[j * self.cols + i].conj()
-            for i in range(self.cols)
-            for j in range(self.rows)
-        ]
-        return CycMatrix(self.field, self.cols, self.rows, flat)
+        f = self.field
+        out = f.conj_coeffs(self.arr.transpose(1, 0, 2), _max_abs(self.arr))
+        return CycMatrix._from_array(f, out, self.den)
 
     def transpose(self) -> "CycMatrix":
-        flat = [
-            self.entries[j * self.cols + i]
-            for i in range(self.cols)
-            for j in range(self.rows)
-        ]
-        return CycMatrix(self.field, self.cols, self.rows, flat)
+        return CycMatrix._from_array(self.field, self.arr.transpose(1, 0, 2), self.den)
 
     # -- predicates ---------------------------------------------------------------
 
     def __eq__(self, other):
         return (
             isinstance(other, CycMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+            and self.field is other.field
+            and self.key() == other.key()
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
+        return hash(self.key())
 
     def key(self):
         """Canonical hashable key (used by the group-closure hash set)."""
-        return (
-            self.rows,
-            self.cols,
-            tuple((e.num, e.den) for e in self.entries),
-        )
+        arr = self.arr
+        data = tuple(arr.ravel().tolist()) if arr.dtype == object else arr.tobytes()
+        return (self.rows, self.cols, self.den, data)
 
     def is_zero(self):
-        return all(e.is_zero() for e in self.entries)
+        return not self.arr.any()
 
     def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        f = self.field
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = f.one if i == j else f.zero
-                if self.entries[i * self.cols + j] != want:
-                    return False
-        return True
+        return self.rows == self.cols and self == CycMatrix.identity(
+            self.field, self.rows
+        )
 
     def is_scalar(self):
         """Off-diagonal entries exactly zero and diagonal entries exactly equal."""
         if self.rows != self.cols or self.rows == 0:
             return False
-        d0 = self.entries[0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entries[i * self.cols + j]
-                if i == j:
-                    if e != d0:
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        return self == CycMatrix.diagonal(self.field, [self[0, 0]] * self.rows)
 
     def scalar_value(self):
         if not self.is_scalar():
             raise ValueError("matrix is not scalar")
-        return self.entries[0]
+        return self[0, 0]
 
     def is_symmetric(self):
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entries[i * self.cols + j] == self.entries[j * self.cols + i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.rows == self.cols and self == self.transpose()
 
     def is_unitary(self):
         if self.rows != self.cols:
@@ -274,21 +230,14 @@ class CycMatrix:
         return (self @ self.conj_transpose()).is_identity()
 
     def is_diagonal(self):
-        return all(
-            self.entries[i * self.cols + j].is_zero()
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
+        off = ~np.eye(self.rows, self.cols, dtype=bool)
+        return not self.arr[off].any()
 
     # -- output ---------------------------------------------------------------------
 
     def embed(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self.entries[i * self.cols + j].embed()
-        return out
+        values = [e.embed() for e in self.entries]
+        return np.array(values, dtype=complex).reshape(self.rows, self.cols)
 
     def to_json(self):
         return {

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import gcd, isqrt
+from functools import lru_cache
+from math import isqrt, lcm
 
 from .cyclo import CycField, get_field, is_odd_prime
 
@@ -44,11 +44,8 @@ __all__ = [
 SUPPORTED_RANGE = (5, 13)
 
 
-def _lcm(a, b):
-    return a // gcd(a, b) * b
-
-
-def _mat_mul(x, y, r):
+def sl2_mul(x, y, r):
+    """Product of 2x2 matrices over F_r stored as (a, b, c, d) tuples."""
     a, b, c, d = x
     e, f, g, h = y
     return (
@@ -59,7 +56,8 @@ def _mat_mul(x, y, r):
     )
 
 
-def _mat_inv(x, r):
+def sl2_inv(x, r):
+    """Inverse of a determinant-1 matrix over F_r stored as (a, b, c, d)."""
     a, b, c, d = x
     return (d % r, (-b) % r, (-c) % r, a % r)
 
@@ -80,7 +78,7 @@ class FiniteGroup:
         n = len(elements)
         class_of = [-1] * n
         classes = []
-        ginv = [_mat_inv(g, r) for g in generators]
+        ginv = [sl2_inv(g, r) for g in generators]
         for i0 in range(n):
             if class_of[i0] != -1:
                 continue
@@ -91,7 +89,7 @@ class FiniteGroup:
             while stack:
                 x = stack.pop()
                 for g, gi in zip(generators, ginv):
-                    y = _mat_mul(_mat_mul(g, x, r), gi, r)
+                    y = sl2_mul(sl2_mul(g, x, r), gi, r)
                     j = self.index[y]
                     if class_of[j] == -1:
                         class_of[j] = ci
@@ -104,9 +102,9 @@ class FiniteGroup:
         self.class_sizes = [len(c) for c in classes]
 
         self.class_orders = [self._element_order(g) for g in self.class_reps]
-        self.exponent = reduce(_lcm, self.class_orders, 1)
+        self.exponent = lcm(*self.class_orders)
         self.inverse_class = [
-            self.class_of[self.index[_mat_inv(g, r)]] for g in self.class_reps
+            self.class_of[self.index[sl2_inv(g, r)]] for g in self.class_reps
         ]
         # power_map[i][t] = class of class_reps[i]^t, t in [0, order)
         self.power_map = []
@@ -115,7 +113,7 @@ class FiniteGroup:
             y = self.identity
             for _ in range(self.class_orders[i]):
                 row.append(self.class_of[self.index[y]])
-                y = _mat_mul(y, g, r)
+                y = sl2_mul(y, g, r)
             self.power_map.append(row)
 
     def order(self):
@@ -128,7 +126,7 @@ class FiniteGroup:
         o = 1
         y = x
         while y != self.identity:
-            y = _mat_mul(y, x, self.r)
+            y = sl2_mul(y, x, self.r)
             o += 1
         return o
 
@@ -142,7 +140,7 @@ class FiniteGroup:
             for i in range(k):
                 row = a[i]
                 for xi in self.classes[i]:
-                    y = _mat_mul(_mat_inv(self.elements[xi], self.r), z, self.r)
+                    y = sl2_mul(sl2_inv(self.elements[xi], self.r), z, self.r)
                     row[self.class_of[self.index[y]]][kk] += 1
         return a
 
@@ -168,10 +166,10 @@ def sl2_group(r: int) -> FiniteGroup:
     return FiniteGroup(r, "SL2", els, gens)
 
 
-def _primitive_root(r):
-    # smallest generator of F_r^*
+def _primitive_root(p):
+    """Smallest generator of F_p^*, p prime."""
     fac = []
-    m = r - 1
+    m = p - 1
     f = 2
     while f * f <= m:
         if m % f == 0:
@@ -181,8 +179,8 @@ def _primitive_root(r):
         f += 1
     if m > 1:
         fac.append(m)
-    for g in range(2, r):
-        if all(pow(g, (r - 1) // q, r) != 1 for q in fac):
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
     raise ArithmeticError("no primitive root found")
 
@@ -223,24 +221,6 @@ def _dixon_primes(order, exponent):
         if p % exponent == 1 and _is_prime(p):
             yield p
         p += 1
-
-
-def _primitive_root_mod(p):
-    fac = []
-    m = p - 1
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            fac.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        fac.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise ArithmeticError("no primitive root mod p")
 
 
 def _nullspace(mat, p):
@@ -516,7 +496,7 @@ def dixon_char_table(table: FiniteGroupTable) -> FiniteGroupTable:
     # exact lift: multiplicities of each m-th root of unity via DFT mod p
     e = g.exponent
     f = get_field(e)
-    z = _primitive_root_mod(p)
+    z = _primitive_root(p)
     lam_e = pow(z, (p - 1) // e, p)
     table_exact = []
     for deg, chi in zip(degrees, chis_modp):
@@ -656,7 +636,7 @@ def chi_beta_report(r: int) -> dict:
         if (a * a - eps * b * b) % r == 1
     ]
     assert len(torus) == r + 1
-    torus_squares = sorted({_mat_mul(x, x, r) for x in torus})
+    torus_squares = sorted({sl2_mul(x, x, r) for x in torus})
     central = {(1, 0, 0, 1), (r - 1, 0, 0, r - 1)}
     regular = [x for x in torus_squares if x not in central]
     classes = sorted({g.class_of[g.index[x]] for x in regular})
@@ -683,6 +663,24 @@ def _congruence_ok(product: int, dim: int, half: int) -> bool:
     modulo (r-1)/2 to fit inside the low-degree part of the regular
     representation."""
     return product % half == (0 if dim > 1 else 1)
+
+
+def _borel_screening(r: int, index: int, degrees) -> tuple:
+    """The screen above applied to [G:B] dim V for each distinct irreducible
+    degree of B: (rows, whether every row is ruled out)."""
+    half = (r - 1) // 2
+    bound = (r * r - 2 * r + 3) // 2
+    rows = [
+        {
+            "dim": bdeg,
+            "index_times_dim": index * bdeg,
+            "congruence_ok": _congruence_ok(index * bdeg, bdeg, half),
+            "inequality_ok": index * bdeg <= bound,
+        }
+        for bdeg in sorted(set(degrees))
+    ]
+    ruled_out = all(not (row["congruence_ok"] and row["inequality_ok"]) for row in rows)
+    return rows, ruled_out
 
 
 def screen_induction_triples(r: int) -> dict:
@@ -758,20 +756,7 @@ def borel_check(r: int) -> dict:
         inductions.append({"borel_degree": bdeg, "multiplicities": mults,
                            "induced_degree": total})
 
-    half = (r - 1) // 2
-    bound = (r * r - 2 * r + 3) // 2
-    screening = []
-    for bdeg in sorted(set(bt.degrees)):
-        product = index * bdeg
-        screening.append(
-            {
-                "dim": bdeg,
-                "index_times_dim": product,
-                "congruence_ok": _congruence_ok(product, bdeg, half),
-                "inequality_ok": product <= bound,
-            }
-        )
-
+    screening, all_screened_out = _borel_screening(r, index, bt.degrees)
     observed = sorted(set(bt.degrees))
     return {
         "r": r,
@@ -785,9 +770,7 @@ def borel_check(r: int) -> dict:
         "linear_character_count": bt.degrees.count(1),
         "inductions": inductions,
         "screening": screening,
-        "all_screened_out": all(
-            not (row["congruence_ok"] and row["inequality_ok"]) for row in screening
-        ),
+        "all_screened_out": all_screened_out,
     }
 
 
@@ -816,20 +799,7 @@ def regular_congruence_check(r: int) -> dict:
     screen = screen_induction_triples(r)
 
     # the same screen applied to H = B with its computed irreducible degrees
-    half = (r - 1) // 2
-    bound = (r * r - 2 * r + 3) // 2
-    index_b = r + 1
-    borel_rows = []
-    for bdeg in sorted(set(borel_table(r).degrees)):
-        product = index_b * bdeg
-        borel_rows.append(
-            {
-                "dim": bdeg,
-                "index_times_dim": product,
-                "congruence_ok": _congruence_ok(product, bdeg, half),
-                "inequality_ok": product <= bound,
-            }
-        )
+    borel_rows, borel_out = _borel_screening(r, r + 1, borel_table(r).degrees)
     return {
         "r": r,
         "regular_multiplicities_equal_degrees": reg_mults == table.degrees,
@@ -839,8 +809,6 @@ def regular_congruence_check(r: int) -> dict:
         "inequality_rhs": [rhs.numerator, rhs.denominator],
         "inequality_holds": lhs < rhs,
         "borel_screening": borel_rows,
-        "borel_all_screened_out": all(
-            not (row["congruence_ok"] and row["inequality_ok"]) for row in borel_rows
-        ),
+        "borel_all_screened_out": borel_out,
         "surviving_triples": screen["survivors"],
     }

@@ -31,7 +31,6 @@ __all__ = [
     "heisenberg_presentation",
     "heisenberg_action",
     "build_weil",
-    "odd_restriction",
     "verify_odd_block_identification",
     "OddBlockMismatch",
 ]
@@ -198,12 +197,6 @@ def _odd_coordinates(r: int, image_col):
             raise ArithmeticError("odd subspace is not invariant (symmetry)")
     # f_i has +1 at position (r-1-i)/2, so that coordinate reads off directly
     return [image_col[(r - 1 - i) // 2] for i in range(0, r - 2, 2)]
-
-
-def odd_restriction(w: WeilMatrices):
-    """Matrices of R_s, R_t on the basis f_i = e_{(r-1-i)/2} - e_{(r+1+i)/2},
-    i in {0, 2, ..., r-3}, recomputed with the exact invariance check."""
-    return _restrict_to_odd(w.r, w.r_s, w.r_t)
 
 
 def _restrict_to_odd(r: int, r_s: CycMatrix, r_t: CycMatrix):

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import so3tqft
 from so3tqft.cli import main
 
 
@@ -91,7 +98,37 @@ def test_image_json(capsys):
     assert report["matches"] == "PSL2"
     assert report["generator_orders"] == {"s": 2, "t": 5, "st": 3}
     assert report["linear_lift"]["linear_image"] == "SL2"
-    assert report["wall_time"] >= 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modular-data", "--json"],
+        ["modular-data", "--csv"],
+        ["weil", "--verify", "--json"],
+        ["dims", "--genus", "2", "--verlinde-check", "--json"],
+        ["image", "--json"],
+        ["image", "--generators", "weil"],
+        ["chartab", "--check-ltwo", "--check-borel", "--json"],
+        ["tau", "--chain", "2", "--heegaard", "stts", "--survey", "6", "--json"],
+        ["verify-all", "--json"],
+    ],
+)
+def test_output_is_byte_identical_across_runs(argv):
+    # two fresh processes with different string-hash seeds print the same bytes
+    src = str(Path(so3tqft.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "so3tqft.cli", *argv, "--r", "5"],
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_image_not_finite_within_bound(capsys):

@@ -24,7 +24,7 @@ def rand_matrix(rng, f, n, span=5, den=3):
 
 
 def test_matmul_matches_slow_path():
-    # the einsum kernel and the entrywise exact path must agree
+    # the matrix kernel and entrywise CycNumber arithmetic must agree
     rng = random.Random(8)
     f = get_field(20)
     for _ in range(10):

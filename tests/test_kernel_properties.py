@@ -1,0 +1,157 @@
+"""Property tests of the exact kernel on both sides of the int64/big-int switch.
+
+Scalar products and conjugates are compared with sympy's remainder modulo
+the cyclotomic polynomial; matrix products, scalar multiples and sums with
+entrywise CycNumber arithmetic.  Coefficients are drawn up to 2^62, so the
+work dtype chosen from the worst-case bound falls on either side.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Poly, cyclotomic_poly, symbols
+
+from so3tqft.cyclo import _INT64_GUARD, CycNumber, get_field
+from so3tqft.cycmatrix import CycMatrix
+
+X = symbols("x")
+
+# field moduli n with degrees phi(n) = 8, 24, 60 and 72
+MODULI = (20, 52, 124, 148)
+
+KERNEL = settings(max_examples=25, deadline=None)
+
+
+def coeffs(d, min_bits=0, max_bits=62):
+    """d integers bounded by 2^b in magnitude, b drawn once per vector."""
+    return st.integers(min_bits, max_bits).flatmap(
+        lambda b: st.lists(st.integers(-(1 << b), 1 << b), min_size=d, max_size=d)
+    )
+
+
+def near_power_coeffs(d, min_bits=40, max_bits=62):
+    """d integers of magnitude between 2^(b-1) and 2^b, random signs."""
+    return st.integers(min_bits, max_bits).flatmap(
+        lambda b: st.lists(
+            st.tuples(st.sampled_from((1, -1)), st.integers(1 << (b - 1), 1 << b)).map(
+                lambda t: t[0] * t[1]
+            ),
+            min_size=d,
+            max_size=d,
+        )
+    )
+
+
+def sympy_reduce(terms, n, d):
+    """Ascending coefficients of sum c x^e modulo Phi_n, from {e: c}."""
+    phi = Poly(cyclotomic_poly(n, X), X)
+    rem = Poly.from_dict({(e,): c for e, c in terms.items()}, X).rem(phi)
+    out = [int(c) for c in reversed(rem.all_coeffs())]
+    return tuple(out + [0] * (d - len(out)))
+
+
+def sympy_mul(a, b, n):
+    terms = {}
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            terms[i + j] = terms.get(i + j, 0) + x * y
+    return sympy_reduce(terms, n, len(a))
+
+
+def sympy_conj(a, n):
+    return sympy_reduce({(n - j) % n: x for j, x in enumerate(a)}, n, len(a))
+
+
+@pytest.mark.parametrize("n", MODULI)
+@KERNEL
+@given(data=st.data())
+def test_scalar_mul_and_conj_match_sympy(n, data):
+    f = get_field(n)
+    d = f.degree
+    a = data.draw(near_power_coeffs(d))
+    b = data.draw(coeffs(d))
+    x, y = CycNumber(f, a, 1), CycNumber(f, b, 1)
+    assert (x * y).num == sympy_mul(a, b, n)
+    assert x.conj().num == sympy_conj(a, n)
+    assert y.conj().num == sympy_conj(b, n)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_scalar_mul_at_the_dtype_switch(n):
+    # the largest and smallest factors on each side of the int64 bound
+    f = get_field(n)
+    d = f.degree
+    ma = 1 << 40
+    mb = _INT64_GUARD // (ma * d * (1 + d * f.red_max))
+    a = [ma if j % 2 else -ma for j in range(d)]
+    for m, dtype in ((mb, np.int64), (mb + 1, object)):
+        assert f.product_dtype(ma, m) is dtype
+        b = [m] * d
+        assert (CycNumber(f, a, 1) * CycNumber(f, b, 1)).num == sympy_mul(a, b, n)
+
+
+def cyc_matrix(draw, f, rows, cols, max_bits=62):
+    entries = [
+        CycNumber(f, draw(coeffs(f.degree, 0, max_bits)), draw(st.integers(1, 12)))
+        for _ in range(rows * cols)
+    ]
+    return CycMatrix(f, rows, cols, entries)
+
+
+@pytest.mark.parametrize("n", (20, 52, 148))
+@KERNEL
+@given(data=st.data())
+def test_matrix_ops_match_entrywise_arithmetic(n, data):
+    f = get_field(n)
+    m, k, l = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a = cyc_matrix(data.draw, f, m, k)
+    b = cyc_matrix(data.draw, f, k, l)
+    c = cyc_matrix(data.draw, f, m, k)
+    s = CycNumber(f, data.draw(coeffs(f.degree)), data.draw(st.integers(1, 12)))
+
+    prod = a @ b
+    for i in range(m):
+        for j in range(l):
+            want = f.zero
+            for t in range(k):
+                want = want + a[i, t] * b[t, j]
+            assert prod[i, j] == want
+    assert a.scalar_mul(s).entries == [e * s for e in a.entries]
+    assert (a + c).entries == [x + y for x, y in zip(a.entries, c.entries)]
+    assert (a - c).entries == [x - y for x, y in zip(a.entries, c.entries)]
+    assert a.conj_transpose().transpose().entries == [e.conj() for e in a.entries]
+
+
+@pytest.mark.parametrize("n", MODULI)
+@KERNEL
+@given(data=st.data())
+def test_equal_matrices_reached_through_either_dtype_have_one_key(n, data):
+    f = get_field(n)
+    a = cyc_matrix(data.draw, f, 2, 2, max_bits=20)
+    assert a.arr.dtype == np.int64
+    big = f.from_int(1 << 70)
+    scaled = a.scalar_mul(big)
+    shifted = a + CycMatrix.identity(f, 2).scalar_mul(big)
+    assert scaled.arr.dtype == object or a.is_zero()
+    assert shifted.arr.dtype == object
+    for back in (
+        scaled.scalar_mul(f.from_fraction(Fraction(1, 1 << 70))),
+        shifted - CycMatrix.identity(f, 2).scalar_mul(big),
+    ):
+        assert back.arr.dtype == np.int64
+        assert back == a
+        assert back.key() == a.key()
+        assert hash(back) == hash(a)
+
+
+def test_sum_with_zero_over_a_huge_denominator():
+    f = get_field(20)
+    tiny = CycMatrix.identity(f, 2).scalar_mul(f.from_fraction(Fraction(3, 1 << 70)))
+    zero = CycMatrix.identity(f, 2) - CycMatrix.identity(f, 2)
+    assert zero.is_zero() and zero.den == 1
+    assert zero + tiny == tiny
+    assert (tiny - zero).entries == tiny.entries
+    assert (tiny - tiny).key() == zero.key()
