@@ -12,15 +12,24 @@ matrix kernel in cycmatrix).  Every product runs the same code; only the
 dtype of its work arrays is chosen per call: int64 when a worst-case
 magnitude bound proves it cannot overflow, numpy object arrays of Python ints
 otherwise (work_dtype), so results are exact and identical either way.
-Inversion is the extended Euclidean algorithm against the cyclotomic
-polynomial over Q.
+
+Inversion is multimodular.  For x = num/den, the inverse of num is
+adj(M) e_0 / det(M), with M the integer matrix of multiplication by num; the
+Hadamard bound on M fixes how many primes p = 1 (mod N), p < 2^31, are
+needed.  Modulo each such prime Phi_N splits into linear factors, so
+adj(M) e_0 and det(M) are found in int64 numpy arithmetic by evaluating num
+at the phi(N) primitive N-th roots of unity mod p, taking products and
+interpolating back.  The Chinese remainder theorem and a symmetric lift give
+the exact integers, and one exact product x * x^-1 == 1 checks the result.
 """
 
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd
 
 import numpy as np
@@ -33,19 +42,50 @@ __all__ = [
     "zeta",
     "sqrt_r",
     "embed",
+    "is_prime",
     "is_odd_prime",
 ]
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the fixed bases 2..37, which is deterministic for
+    n < 3.18 * 10^23."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def is_odd_prime(r: int) -> bool:
-    if r < 3 or r % 2 == 0:
-        return False
-    f = 3
-    while f * f <= r:
-        if r % f == 0:
-            return False
-        f += 2
-    return True
+    return r % 2 == 1 and is_prime(r)
+
+
+def _split_primes(n: int):
+    """Primes p = 1 (mod n) below 2^31, largest first.  Phi_n splits into
+    distinct linear factors mod p, and a product of two residues fits in
+    int64."""
+    p = ((1 << 31) - 2) // n * n + 1
+    while p > 1:
+        if is_prime(p):
+            yield p
+        p -= n
 
 
 def _polydiv_int(num, den):
@@ -88,6 +128,59 @@ def work_dtype(bound: int):
     """dtype for exact integer work whose magnitudes are at most `bound`:
     int64 when that provably cannot overflow, Python ints (object) otherwise."""
     return np.int64 if bound < _INT64_GUARD else object
+
+
+class _SplitTable:
+    """The primes of _split_primes(N) in order, each with the phi(N) primitive
+    N-th roots of unity mod p and the inverses of Phi_N' at them.  Empty
+    until used, then extended only as far as one inversion has needed."""
+
+    def __init__(self, n: int, poly):
+        self.n = n
+        self.poly = poly
+        self.units = [e for e in range(n) if gcd(e, n) == 1]
+        self.stream = _split_primes(n)
+        self.products = []  # products[i] = p_0 * ... * p_i
+        d = len(self.units)
+        self.p = np.zeros(0, dtype=np.int64)
+        self.roots = np.zeros((0, d), dtype=np.int64)
+        self.w = np.zeros((0, d), dtype=np.int64)
+
+    def take(self, bits: int):
+        """(p, roots, w, P) for the shortest prefix of primes whose product P
+        has at least `bits` bits."""
+        new = []
+        prod = self.products[-1] if self.products else 1
+        while prod.bit_length() < bits:
+            new.append(next(self.stream))
+            prod *= new[-1]
+            self.products.append(prod)
+        if new:
+            self._extend(new)
+        k = bisect_left(self.products, bits, key=int.bit_length) + 1
+        return self.p[:k], self.roots[:k], self.w[:k], self.products[k - 1]
+
+    def _extend(self, primes):
+        n, poly = self.n, self.poly
+        rows = []
+        for p in primes:
+            for g in count(2):
+                om = pow(g, (p - 1) // n, p)
+                pw = [1]
+                for _ in range(n - 1):
+                    pw.append(pw[-1] * om % p)
+                if 1 not in pw[1:]:  # om has order exactly n
+                    break
+            rows.append([pw[e] for e in self.units])
+        roots = np.array(rows, dtype=np.int64)
+        p = np.array(primes, dtype=np.int64)[:, None]
+        dphi = np.zeros_like(roots)
+        for j in range(len(poly) - 1, 0, -1):
+            dphi = (dphi * roots + j * poly[j]) % p
+        w = [[pow(x, -1, q) for x in row] for q, row in zip(primes, dphi.tolist())]
+        self.p = np.concatenate([self.p, p[:, 0]])
+        self.roots = np.concatenate([self.roots, roots])
+        self.w = np.concatenate([self.w, np.array(w, dtype=np.int64)])
 
 
 class CycField:
@@ -152,6 +245,7 @@ class CycField:
             [cmath.exp(2j * cmath.pi * k / n) for k in range(d)]
         )
         self._root_index = None
+        self.split = _SplitTable(n, phi)
 
         self.one = CycNumber(self, (1,) + (0,) * (d - 1), 1, _normalized=True)
         self.zero = CycNumber(self, (0,) * d, 1, _normalized=True)
@@ -328,16 +422,56 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inv(self) -> "CycNumber":
-        """Multiplicative inverse via extended Euclid against Phi_N."""
+        """Multiplicative inverse, by the multimodular method in the module
+        docstring."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.field.n)
         f = self.field
-        u = _poly_invert_mod(self.num, f.poly)
-        l = 1
-        for q in u:
-            l = l // gcd(l, q.denominator) * q.denominator
-        nums = [int(q * l) for q in u] + [0] * (f.degree - len(u))
-        return CycNumber(f, [x * self.den for x in nums], l)
+        d = f.degree
+        ma = self.max_abs_coeff()
+
+        # m[j] = num * z^j reduced, column j of the multiplication matrix M
+        full = np.zeros((d, 2 * d - 1), dtype=f.product_dtype(ma, 1))
+        for j in range(d):
+            full[j, j : j + d] = self.num
+        m = f.reduce(full)
+        mx = int(np.abs(m).max())
+        m = m.astype(work_dtype(d * mx * mx))
+        # Hadamard: |det M| and the entries of adj(M) e_0 are at most
+        # H = prod |column| < 2^(s/2); the primes' product must exceed 2H
+        s = sum(int(x).bit_length() for x in (m * m).sum(axis=1))
+        ps, roots, w, big_p = f.split.take(2 + (s + 1) // 2)
+
+        p = ps[:, None]
+        dn = work_dtype(ma)
+        a = (np.array(self.num, dtype=dn) % ps.astype(dn)[:, None]).astype(np.int64)
+        v = np.zeros_like(roots)
+        for j in range(d - 1, -1, -1):  # v = num(roots)
+            v = (v * roots + a[:, j, None]) % p
+        # adj(M) e_0 takes the value prod_{l != k} num(alpha_l) at alpha_k;
+        # no residue is inverted, so a prime dividing det(M) serves as well
+        left = np.ones_like(v)
+        right = np.ones_like(v)
+        for k in range(1, d):
+            left[:, k] = left[:, k - 1] * v[:, k - 1] % ps
+            right[:, d - 1 - k] = right[:, d - k] * v[:, d - k] % ps
+        z = left * right % p * w % p
+        # interpolate: adj(M) e_0 = sum_k z_k Phi(x) / (x - alpha_k), whose
+        # coefficients are q_(d-1) = 1, q_(j-1) = c_j + alpha q_j
+        res = np.empty((len(ps), d + 1), dtype=np.int64)
+        res[:, d] = left[:, -1] * v[:, -1] % ps  # det(M)
+        q = np.ones_like(v)
+        for j in range(d - 1, -1, -1):
+            res[:, j] = (z * q % p).sum(axis=1) % ps
+            q = (q * roots + f.poly[j]) % p
+
+        crt = [big_p // pi * pow(big_p // pi, -1, pi) for pi in ps.tolist()]
+        lifted = (res.T.astype(object) @ np.array(crt, dtype=object)) % big_p
+        y = [x - big_p if 2 * x > big_p else x for x in lifted.tolist()]
+        u = CycNumber(f, [x * self.den for x in y[:d]], y[d])
+        if self * u != f.one:
+            raise ArithmeticError("multimodular inverse failed its exact check")
+        return u
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -437,47 +571,6 @@ class CycNumber:
         if self.den != 1:
             body = f"({body})/{self.den}"
         return f"Cyc[{self.field.n}]({body})"
-
-
-def _poly_invert_mod(num, modpoly):
-    """Inverse of the integer polynomial `num` modulo `modpoly` over Q.
-
-    Returns Fraction coefficients u with u*num = 1 (mod modpoly)."""
-
-    def trim(p):
-        dd = len(p) - 1
-        while dd >= 0 and p[dd] == 0:
-            dd -= 1
-        return p[: dd + 1]
-
-    r0 = trim([Fraction(x) for x in num])
-    r1 = trim([Fraction(x) for x in modpoly])
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q = [Fraction(0)] * (max(len(r0) - len(r1), 0) + 1)
-        rem = list(r0)
-        while len(rem) >= len(r1) and rem:
-            c = rem[-1] / r1[-1]
-            sh = len(rem) - len(r1)
-            q[sh] += c
-            for i, yc in enumerate(r1):
-                rem[sh + i] -= c * yc
-            rem = trim(rem)
-        q = trim(q)
-        prod = [Fraction(0)] * (len(q) + len(s1) if s1 and q else 0)
-        for i, qc in enumerate(q):
-            if qc:
-                for j, pc in enumerate(s1):
-                    prod[i + j] += qc * pc
-        news = list(s0) + [Fraction(0)] * max(0, len(prod) - len(s0))
-        for i, pc in enumerate(prod):
-            news[i] -= pc
-        r0, r1 = r1, rem
-        s0, s1 = s1, trim(news)
-    if len(r0) != 1 or r0[0] == 0:
-        raise ZeroDivisionError("element is a zero divisor (not invertible)")
-    c = r0[0]
-    return [x / c for x in s0]
 
 
 def zeta(n: int) -> CycNumber:

@@ -7,17 +7,17 @@ invariant vector iff it satisfies the triangle inequality and a + b + c <=
 2(r-2); dimensions of arbitrary (genus, boundary) surfaces are assembled from
 these 0/1 coefficients by cutting the surface into pants along a canonical
 linear chain of handles.  Dimensions are exact Python integers throughout;
-the Verlinde power sum is the only float here and is gated against the exact
-value.
+the Verlinde power sum is evaluated exactly in Q(zeta_r), and its float
+value is kept only as a diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isclose, pi, sin
+from math import comb, pi, sin
 
-from .cyclo import is_odd_prime
+from .cyclo import get_field, is_odd_prime
 
 __all__ = [
     "SurfaceSpec",
@@ -154,10 +154,22 @@ def dim_space(spec: SurfaceSpec) -> int:
     return chain[index[hs[0]]][index[hs[-1]]]
 
 
+@lru_cache(maxsize=32)
+def _verlinde_alpha(r: int):
+    """alpha_1 = r / (2 - z^2 - z^-2) in Q(zeta_r); its images under the
+    automorphisms z -> z^j are alpha_j = r csc^2(2 pi j / r) / 4."""
+    f = get_field(r)
+    return f.from_int(r) / (2 - f.zeta_power(2) - f.zeta_power(-2))
+
+
 def verlinde_dim(r: int, g: int):
     """Closed-surface dimension as the power sum over alpha_j =
-    r csc^2(2 pi j / r) / 4.  Returns (float value, rounded integer) and
-    insists the float sits within 1e-6 relative of its nearest integer."""
+    r csc^2(2 pi j / r) / 4, j = 1..(r-1)/2.  Returns (float value, exact
+    integer); the float is a diagnostic only.
+
+    The exact sum is half the trace from Q(zeta_r) to Q of x = alpha_1^(g-1),
+    since alpha_j = alpha_(r-j) runs over the conjugates twice, and
+    Tr(x) = r x_0 - (x_0 + ... + x_(r-2)) in the power basis."""
     _require_level(r)
     if g < 1:
         raise ValueError("the power-sum formula needs genus >= 1")
@@ -165,12 +177,11 @@ def verlinde_dim(r: int, g: int):
     for j in range(1, (r - 1) // 2 + 1):
         alpha = r / (4.0 * sin(2.0 * pi * j / r) ** 2)
         total += alpha ** (g - 1)
-    nearest = int(total + 0.5) if total >= 0 else -int(-total + 0.5)
-    if not isclose(total, nearest, rel_tol=1e-6, abs_tol=1e-6):
-        raise ArithmeticError(
-            f"Verlinde float {total} drifted from integer {nearest}"
-        )
-    return total, nearest
+    x = _verlinde_alpha(r) ** (g - 1)
+    exact, rem = divmod(r * x.num[0] - sum(x.num), 2 * x.den)
+    if rem:
+        raise ArithmeticError(f"Verlinde sum at r={r}, g={g} is not an integer")
+    return total, exact
 
 
 def twist_multiplicities(r: int):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .cyclo import CycField, get_field, is_odd_prime
+from .cyclo import CycField, get_field, is_odd_prime, is_prime
 
 __all__ = [
     "FiniteGroup",
@@ -203,22 +203,11 @@ def borel_group(r: int) -> FiniteGroup:
 # Dixon mod p
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def _dixon_primes(order, exponent):
     """Deterministic sequence of primes p = 1 (mod exponent), p > 2 sqrt(order)."""
     p = max(2 * isqrt(order) + 1, exponent + 1)
     while True:
-        if p % exponent == 1 and _is_prime(p):
+        if p % exponent == 1 and is_prime(p):
             yield p
         p += 1
 

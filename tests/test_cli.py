@@ -54,6 +54,19 @@ def test_dims_verlinde_check(capsys):
     assert report["verlinde_agrees"]
 
 
+@pytest.mark.parametrize("r, genus", [(13, 9), (13, 12), (31, 6), (31, 12)])
+def test_dims_verlinde_check_past_double_precision(capsys, r, genus):
+    # a double rounded to the nearest integer misses the dimension here
+    code, out, err = run(
+        capsys, "dims", "--r", str(r), "--genus", str(genus), "--verlinde-check", "--json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert round(report["verlinde_float"]) != report["dim"]
+    assert report["verlinde_nearest"] == report["dim"]
+    assert report["verlinde_agrees"]
+
+
 def test_json_round_trip_and_determinism(capsys):
     code, out1, _ = run(capsys, "modular-data", "--r", "5", "--json")
     assert code == 0

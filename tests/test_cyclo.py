@@ -7,6 +7,8 @@ from so3tqft.cyclo import (
     CycNumber,
     cyclotomic_polynomial,
     get_field,
+    is_odd_prime,
+    is_prime,
     sqrt_r,
     zeta,
 )
@@ -27,6 +29,21 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
     # Phi_20(x) = Phi_5(-x^2)
     assert cyclotomic_polynomial(20) == (1, 0, -1, 0, 1, 0, -1, 0, 1)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    limit = 10 ** 5
+    assert [n for n in range(limit) if is_prime(n)] == [
+        n for n in range(limit) if trial(n)
+    ]
+    assert [n for n in range(10) if is_odd_prime(n)] == [3, 5, 7]
+    assert is_prime((1 << 61) - 1) and is_prime((1 << 31) - 1)
+    # strong pseudoprimes to the bases 2..7 and to the bases 2..23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
 
 
 def test_zeta_orders():

@@ -101,8 +101,13 @@ def test_verlinde_matches_gluing():
             vfloat, vnear = verlinde_dim(r, g)
             exact = dim_space(SurfaceSpec(r, g))
             assert math.isclose(vfloat, exact, rel_tol=1e-6)
-            if exact < 10 ** 13:  # beyond this the float sum cannot pin the integer
-                assert vnear == exact
+            assert vnear == exact
+
+
+def test_verlinde_is_exact_past_double_precision():
+    for g in range(9, 13):
+        assert verlinde_dim(13, g)[1] == dim_space(SurfaceSpec(13, g))
+    assert verlinde_dim(31, 6)[1] == 249182977056820
 
 
 def test_twist_multiplicities():

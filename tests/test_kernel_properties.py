@@ -3,7 +3,9 @@
 Scalar products and conjugates are compared with sympy's remainder modulo
 the cyclotomic polynomial; matrix products, scalar multiples and sums with
 entrywise CycNumber arithmetic.  Coefficients are drawn up to 2^62, so the
-work dtype chosen from the worst-case bound falls on either side.
+work dtype chosen from the worst-case bound falls on either side.  Inverses
+are compared with sympy's invert where that finishes quickly (two-term
+numerators, or degree 8) and otherwise checked by sympy's product.
 """
 
 from fractions import Fraction
@@ -12,15 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Poly, cyclotomic_poly, symbols
+from sympy import QQ, Poly, cyclotomic_poly, invert, symbols
 
-from so3tqft.cyclo import _INT64_GUARD, CycNumber, get_field
+from so3tqft.cyclo import _INT64_GUARD, CycNumber, _split_primes, get_field
 from so3tqft.cycmatrix import CycMatrix
 
 X = symbols("x")
 
 # field moduli n with degrees phi(n) = 8, 24, 60 and 72
 MODULI = (20, 52, 124, 148)
+# and with degree 36 as well
+INV_MODULI = (20, 52, 76, 124, 148)
 
 KERNEL = settings(max_examples=25, deadline=None)
 
@@ -155,3 +159,68 @@ def test_sum_with_zero_over_a_huge_denominator():
     assert zero + tiny == tiny
     assert (tiny - zero).entries == tiny.entries
     assert (tiny - tiny).key() == zero.key()
+
+
+def sympy_inverse(a, n):
+    """Fraction coefficients of 1 / a(x) modulo Phi_n, by sympy's invert."""
+    phi = Poly(cyclotomic_poly(n, X), X, domain=QQ)
+    u = invert(Poly(list(reversed(a)), X, domain=QQ), phi)
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(u.all_coeffs())]
+    return out + [Fraction(0)] * (len(a) - len(out))
+
+
+def fractions(x):
+    return [Fraction(c, x.den) for c in x.num]
+
+
+def nonzero(bits=62):
+    return st.integers(-(1 << bits), 1 << bits).filter(bool)
+
+
+@pytest.mark.parametrize("n", INV_MODULI)
+@KERNEL
+@given(data=st.data())
+def test_inv_matches_sympy_invert(n, data):
+    f = get_field(n)
+    d = f.degree
+    if d <= 8:
+        a = data.draw(coeffs(d).filter(any))
+    else:  # sympy's invert takes minutes on dense numerators here
+        i, j = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        a = [0] * d
+        a[i], a[j] = data.draw(nonzero()), data.draw(nonzero())
+    den = data.draw(st.integers(2, 1 << 62))
+    want = [den * c for c in sympy_inverse(a, n)]
+    assert fractions(CycNumber(f, a, den).inv()) == want
+
+
+@pytest.mark.parametrize("n", INV_MODULI)
+@KERNEL
+@given(data=st.data())
+def test_inv_is_an_inverse_in_sympy_arithmetic(n, data):
+    f = get_field(n)
+    d = f.degree
+    a = data.draw(coeffs(d).filter(any))
+    den = data.draw(st.integers(2, 1 << 62))
+    u = CycNumber(f, a, den).inv()
+    assert sympy_mul(a, u.num, n) == (den * u.den,) + (0,) * (d - 1)
+
+
+@pytest.mark.parametrize("n", INV_MODULI)
+def test_inv_with_zero_constant_coefficient(n):
+    f = get_field(n)
+    d = f.degree
+    a = [0, 3] + [0] * (d - 3) + [-(1 << 40)]
+    assert fractions(CycNumber(f, a, 7).inv()) == [7 * c for c in sympy_inverse(a, n)]
+
+
+@pytest.mark.parametrize("n", INV_MODULI)
+def test_inv_through_a_prime_that_divides_the_norm(n):
+    # p0 is the first prime every inversion uses, and x = 0 modulo p0 there
+    f = get_field(n)
+    p0 = next(_split_primes(n))
+    assert f.from_int(p0).inv() == f.from_fraction(Fraction(1, p0))
+    y = f.zeta_power(1) + 2
+    assert (y * p0).inv() == y.inv() * Fraction(1, p0)
+    with pytest.raises(ZeroDivisionError):
+        f.zero.inv()

@@ -51,6 +51,8 @@ def test_degrees():
         nontrivial_small = [d for d in tbl.degrees if 1 < d <= half]
         assert nontrivial_small == [half, half]
         assert tbl.degrees.count(1) == 1
+    # the Dixon prime sequence is pinned: p = 1 (mod exponent), p > 2 sqrt(order)
+    assert sl2_table(11).dixon_prime == 661
     # 1 + 2 ((r-1)/2)^2 = (r^2 - 2r + 3)/2 instantiated at r = 11
     assert 1 + 2 * ((11 - 1) // 2) ** 2 == (11 * 11 - 2 * 11 + 3) // 2 == 51
 
