@@ -49,7 +49,7 @@ from .sl2_char import (
 from .mfld3 import (
     ChainSurgery,
     heegaard_tau,
-    lens_word,
+    lens_routes_agree,
     norm_survey,
     signature,
     tau,
@@ -430,12 +430,7 @@ def _cmd_verify_all(args):
 
     def lens_oracle():
         md = build_modular_data(r)
-        for p in range(-12, 13):
-            lhs = tau(md, ChainSurgery((p,))).norm
-            rhs = heegaard_tau(md, lens_word(p))
-            if abs(lhs - rhs) > 1e-9 * max(1.0, lhs):
-                return False
-        return True
+        return all(lens_routes_agree(md, p) for p in range(-12, 13))
 
     check("lens-two-route", lens_oracle)
 

@@ -277,7 +277,7 @@ class CycField:
     def zeta_power(self, k: int) -> "CycNumber":
         """zeta_N^k as an exact element (k may be any integer)."""
         row = self.pw[k % self.n]
-        return CycNumber(self, tuple(int(x) for x in row), 1, _normalized=True)
+        return CycNumber(self, tuple(row.tolist()), 1, _normalized=True)
 
     def from_int(self, a: int) -> "CycNumber":
         return CycNumber(self, (int(a),) + (0,) * (self.degree - 1), 1)
@@ -534,12 +534,11 @@ class CycNumber:
             return self
         if field.n % self.field.n != 0:
             raise ValueError("target modulus must be a multiple of the source")
-        step = field.n // self.field.n
-        acc = field.zero
-        for j, x in enumerate(self.num):
-            if x:
-                acc = acc + field.zeta_power(step * j) * x
-        return CycNumber(field, acc.num, acc.den * self.den)
+        # coefficients times the rows zeta_n^(step * j) of the power table
+        rows = field.pw[field.n // self.field.n * np.arange(self.field.degree)]
+        dt = work_dtype(len(rows) * self.max_abs_coeff() * int(np.abs(rows).max()))
+        num = np.array(self.num, dtype=dt) @ rows.astype(dt)
+        return CycNumber(field, num.tolist(), self.den)
 
     def to_json(self):
         coeffs = []

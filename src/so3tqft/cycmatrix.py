@@ -39,7 +39,7 @@ def _product(field: CycField, a, b):
     a = a.astype(dt, copy=False)
     b = b.astype(dt, copy=False).reshape(n, k * d)
     full = np.zeros((m, k, 2 * d - 1), dtype=dt)
-    for p in range(d):
+    for p in np.flatnonzero(a.any(axis=(0, 1))):  # skip all-zero coefficient planes
         full[:, :, p : p + d] += (a[:, :, p] @ b).reshape(m, k, d)
     return field.reduce(full)
 

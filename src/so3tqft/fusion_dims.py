@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, pi, sin
 
-from .cyclo import get_field, is_odd_prime
+from .cyclo import get_field
+from .modular_data import _require_level, so3_labels
 
 __all__ = [
     "SurfaceSpec",
@@ -33,14 +34,9 @@ __all__ = [
 ]
 
 
-def _require_level(r):
-    if not (is_odd_prime(r) and r >= 5):
-        raise ValueError("r must be an odd prime >= 5")
-
-
 def labels(r: int):
     _require_level(r)
-    return list(range(0, r - 2, 2))
+    return so3_labels(r)
 
 
 def _check_label(r, h):

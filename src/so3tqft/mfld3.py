@@ -16,7 +16,8 @@ p_plus p_minus = D^2 exactly.
 
 The same lens spaces arise from genus-1 Heegaard words s t^p s; the two
 routes agree in absolute value (the Heegaard normalization is only fixed up
-to a power of kappa = p_minus / D).
+to a power of kappa = p_minus / D), which is checked exactly by comparing
+the squared norms x * conj(x).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "heegaard_word_matrix",
     "heegaard_tau",
     "lens_word",
+    "lens_routes_agree",
     "calibrate_lens_word_sign",
     "norm_survey",
     "LENS_WORD_SIGN",
@@ -224,21 +226,23 @@ def lens_word(p: int, sign: int = LENS_WORD_SIGN) -> str:
     return "s" + ("t" if e >= 0 else "T") * abs(e) + "s"
 
 
-def calibrate_lens_word_sign(md: ModularData, max_p: int = 6, tol: float = 1e-9):
+def lens_routes_agree(md: ModularData, p: int, sign: int = LENS_WORD_SIGN) -> bool:
+    """Exact two-route check for L(p, 1): |tau| of the chain (p) squared
+    equals |<e_0, rho(lens_word(p, sign)) e_0>| squared, both as x * conj(x)
+    in Q(zeta_4r)."""
+    lhs = tau(md, ChainSurgery((p,))).value
+    rhs = heegaard_word_matrix(md, lens_word(p, sign))[(0, 0)]
+    return lhs * lhs.conj() == rhs * rhs.conj()
+
+
+def calibrate_lens_word_sign(md: ModularData, max_p: int = 6):
     """Try both exponent signs for the lens word against the surgery route;
-    return the list of signs that match all |p| <= max_p."""
-    good = []
-    for sign in (1, -1):
-        ok = True
-        for p in range(-max_p, max_p + 1):
-            lhs = tau(md, ChainSurgery((p,))).norm
-            rhs = heegaard_tau(md, lens_word(p, sign))
-            if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
-                ok = False
-                break
-        if ok:
-            good.append(sign)
-    return good
+    return the list of signs whose exact norms match for all |p| <= max_p."""
+    return [
+        sign
+        for sign in (1, -1)
+        if all(lens_routes_agree(md, p, sign) for p in range(-max_p, max_p + 1))
+    ]
 
 
 def norm_survey(md: ModularData, max_word_len: int) -> dict:

@@ -8,11 +8,14 @@ common eigenvectors over a prime field F_p with p = 1 (mod exponent) and
 p > 2 sqrt(|G|), normalize to central characters, recover degrees through
 orthogonality mod p, and lift each character value exactly by reading off
 root-of-unity multiplicities with a discrete Fourier transform mod p.  The
-lifted values are CycNumber elements of Q(zeta_exponent) and every
-orthogonality statement is then verified in exact arithmetic.
+lifted values are CycNumber elements of Q(zeta_exponent).  Row and column
+orthogonality are then each verified as one exact CycMatrix identity.
 
-Multiplicities of tensor products are computed twice, once exactly and once
-mod p, and the two answers are required to agree.
+Tensor-product multiplicities M[a, b, c] = <chi_a chi_b, chi_c> are read off
+for all (a, b, c) at once mod p and then certified: for every class i the
+identity chi_a(i) chi_b(i) = sum_c M[a, b, c] chi_c(i) is checked exactly on
+the packed coefficient array of the table.  Row orthogonality makes the
+chi_c linearly independent, so the identity pins M as integers.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .cyclo import CycField, get_field, is_odd_prime, is_prime
+import numpy as np
+
+from .cyclo import CycField, CycNumber, get_field, is_odd_prime, is_prime, work_dtype
+from .cycmatrix import CycMatrix, _product
 
 __all__ = [
     "FiniteGroup",
@@ -399,6 +405,8 @@ class FiniteGroupTable:
     char_table_modp: list = dc_field(default=None)  # same, residues mod p
     dixon_prime: int = 0
     value_field: CycField = None
+    # [a, b, c] = <chi_a chi_b, chi_c>, certified by _tensor_multiplicities
+    tensor_mults: np.ndarray = dc_field(default=None, compare=False)
 
     @property
     def class_sizes(self):
@@ -494,7 +502,7 @@ def dixon_char_table(table: FiniteGroupTable) -> FiniteGroupTable:
             m = g.class_orders[i]
             lam_m = pow(lam_e, e // m, p)
             inv_m = pow(m, p - 2, p)
-            value = f.zero
+            mus = []
             for s in range(m):
                 tot = 0
                 for t in range(m):
@@ -502,9 +510,10 @@ def dixon_char_table(table: FiniteGroupTable) -> FiniteGroupTable:
                 mu = tot % p * inv_m % p
                 if mu > deg:
                     raise ArithmeticError("eigenvalue multiplicity out of range")
-                if mu:
-                    value = value + f.zeta_power((e // m) * s) * mu
-            row.append(value)
+                mus.append(mu)
+            # value = sum_s mu_s zeta_m^s, with zeta_m = zeta_e^(e/m)
+            value = np.array(mus, dtype=np.int64) @ f.pw[(e // m) * np.arange(m)]
+            row.append(CycNumber(f, value.tolist()))
         table_exact.append(row)
 
     # deterministic row order: by degree, then by mod-p fingerprint
@@ -516,6 +525,7 @@ def dixon_char_table(table: FiniteGroupTable) -> FiniteGroupTable:
     table.value_field = f
 
     _verify_orthogonality(table)
+    table.tensor_mults = _tensor_multiplicities(table)
     return table
 
 
@@ -528,33 +538,63 @@ def _sqrt_mod(a, p):
 
 
 def _verify_orthogonality(table: FiniteGroupTable):
-    """Exact row and column orthogonality over Q(zeta_exponent)."""
+    """Exact row and column orthogonality over Q(zeta_exponent), each as one
+    matrix identity: X D X'^T = n I and X^T X' D = n I, where
+    X[a, i] = chi_a(g_i), X'[a, i] = chi_a(g_i^-1) and D = diag(|C_i|).
+    D is invertible, so the second is the column relation
+    X^T X' = diag(n / |C_i|)."""
     g = table.group
-    n = g.order()
     k = g.num_classes()
     f = table.value_field
     ct = table.char_table
-    inv = g.inverse_class
-    for a in range(k):
-        for b in range(a, k):
-            acc = f.zero
-            for i in range(k):
-                acc = acc + ct[a][i] * ct[b][inv[i]] * g.class_sizes[i]
-            want = f.from_int(n) if a == b else f.zero
-            if acc != want:
-                raise ArithmeticError(f"row orthogonality failed at ({a},{b})")
+    x = CycMatrix.from_rows(f, ct)
+    # w = D X'^T, w[i, a] = |C_i| chi_a(g_i^-1); its transpose is X' D
+    w = CycMatrix.diagonal(f, [f.from_int(s) for s in g.class_sizes]) @ (
+        CycMatrix.from_rows(f, [[row[j] for row in ct] for j in g.inverse_class])
+    )
+    n_id = CycMatrix.identity(f, k).scalar_mul(f.from_int(g.order()))
+    if x @ w != n_id:
+        raise ArithmeticError("row orthogonality failed")
+    if x.transpose() @ w.transpose() != n_id:
+        raise ArithmeticError("column orthogonality failed")
+
+
+def _tensor_multiplicities(table: FiniteGroupTable) -> np.ndarray:
+    """M[a, b, c] = (1/n) sum_i |C_i| chi_a(g_i) chi_b(g_i) chi_c(g_i^-1) for
+    all (a, b, c), computed mod the Dixon prime p and certified exactly.
+
+    The certificate checks chi_a(g_i) chi_b(g_i) = sum_c M[a, b, c] chi_c(g_i)
+    for every class i on the packed table, one class at a time.  Since the
+    chi_c are linearly independent (row orthogonality), this identity holds
+    for exactly one integer array M, so any mod-p error raises."""
+    g = table.group
+    n = g.order()
+    k = g.num_classes()
+    p = table.dixon_prime
+    x = np.array(table.char_table_modp, dtype=np.int64)
+    sizes = np.array(g.class_sizes, dtype=np.int64) % p
+    y = x[:, g.inverse_class] * sizes % p  # y[c, i] = |C_i| chi_c(g_i^-1)
+    # residues are below p < 2^31, so every product and sum here fits in int64
+    m = np.zeros((k, k, k), dtype=np.int64)
     for i in range(k):
-        for j in range(i, k):
-            acc = f.zero
-            for a in range(k):
-                acc = acc + ct[a][i] * ct[a][inv[j]]
-            want = (
-                f.from_fraction(Fraction(n, g.class_sizes[i]))
-                if i == j
-                else f.zero
-            )
-            if acc != want:
-                raise ArithmeticError(f"column orthogonality failed at ({i},{j})")
+        xx = x[:, None, i] * x[None, :, i] % p
+        m = (m + xx[:, :, None] * y[None, None, :, i]) % p
+    m = m * pow(n, -1, p) % p
+
+    f = table.value_field
+    packed = CycMatrix.from_rows(f, table.char_table)
+    if packed.den != 1:
+        raise ArithmeticError("character values are not algebraic integers")
+    arr = packed.arr
+    d = f.degree
+    dt = work_dtype(k * (p - 1) * int(np.abs(arr).max(initial=0)))
+    flat = m.reshape(k * k, k).astype(dt)
+    for i in range(k):
+        col = arr[:, i : i + 1, :]
+        lhs = _product(f, col, col.transpose(1, 0, 2)).reshape(k * k, d)
+        if not np.array_equal(lhs, flat @ col[:, 0, :].astype(dt)):
+            raise ArithmeticError(f"tensor multiplicity certificate failed at class {i}")
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -574,35 +614,9 @@ def borel_table(r: int) -> FiniteGroupTable:
 
 
 def tensor_decompose(table: FiniteGroupTable, a: int, b: int):
-    """Multiplicities of each irreducible in chi_a * chi_b, computed exactly
-    and mod p; the two routes must agree."""
-    g = table.group
-    n = g.order()
-    k = g.num_classes()
-    f = table.value_field
-    ct = table.char_table
-    inv = g.inverse_class
-    p = table.dixon_prime
-    ctp = table.char_table_modp
-
-    out = []
-    for c in range(k):
-        acc = f.zero
-        for i in range(k):
-            acc = acc + ct[a][i] * ct[b][i] * ct[c][inv[i]] * g.class_sizes[i]
-        q = Fraction(acc.as_fraction(), n) if acc.is_rational() else None
-        if q is None or q.denominator != 1 or q < 0:
-            raise ArithmeticError("tensor multiplicity is not a non-negative integer")
-        exact = int(q)
-
-        tot = 0
-        for i in range(k):
-            tot += ctp[a][i] * ctp[b][i] % p * ctp[c][inv[i]] % p * g.class_sizes[i]
-        modp = tot % p * pow(n % p, p - 2, p) % p
-        if modp != exact % p or exact >= p:
-            raise ArithmeticError("exact and mod-p tensor multiplicities disagree")
-        out.append(exact)
-    return out
+    """Multiplicities of each irreducible in chi_a * chi_b: row [a][b] of the
+    table's certified multiplicity array (see _tensor_multiplicities)."""
+    return table.tensor_mults[a, b].tolist()
 
 
 def chi_beta_report(r: int) -> dict:
@@ -724,21 +738,26 @@ def borel_check(r: int) -> dict:
     g_class_of_bclass = [
         g.class_of[g.index[rep]] for rep in b.class_reps
     ]
-    lifted = [[v.lift_to(fg) for v in row] for row in bt.char_table]
-
-    # Frobenius reciprocity: <Ind chi, psi>_G = <chi, Res psi>_B
+    lifted = CycMatrix.from_rows(
+        fg, [[v.lift_to(fg) for v in row] for row in bt.char_table]
+    )
+    # Frobenius reciprocity: <Ind chi, psi>_G = <chi, Res psi>_B, for every
+    # pair at once as (1/|B|) sum_bc chi(bc) |bc| psi(g_bc^-1)
+    restricted = CycMatrix.from_rows(
+        fg,
+        [
+            [row[g.inverse_class[gc]] for row in gt.char_table]
+            for gc in g_class_of_bclass
+        ],
+    )
+    sizes = CycMatrix.diagonal(fg, [fg.from_int(s) for s in b.class_sizes])
+    prod = lifted @ (sizes @ restricted)
+    num = prod.arr[:, :, 0]
+    den = prod.den * nb
+    if prod.arr[:, :, 1:].any() or (num % den).any() or (num < 0).any():
+        raise ArithmeticError("induction multiplicity is not a non-negative integer")
     inductions = []
-    for bi, bdeg in enumerate(bt.degrees):
-        mults = []
-        for gi in range(gt.num_classes()):
-            acc = fg.zero
-            for bc in range(bt.num_classes()):
-                psi_val = gt.char_table[gi][g.inverse_class[g_class_of_bclass[bc]]]
-                acc = acc + lifted[bi][bc] * psi_val * b.class_sizes[bc]
-            q = Fraction(acc.as_fraction(), nb)
-            if q.denominator != 1 or q < 0:
-                raise ArithmeticError("induction multiplicity is not an integer")
-            mults.append(int(q))
+    for bdeg, mults in zip(bt.degrees, (num // den).tolist()):
         total = sum(m * d for m, d in zip(mults, gt.degrees))
         if total != index * bdeg:
             raise ArithmeticError("induced degree mismatch")

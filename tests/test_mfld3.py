@@ -12,6 +12,7 @@ from so3tqft.mfld3 import (
     heegaard_tau,
     heegaard_word_matrix,
     kappa,
+    lens_routes_agree,
     lens_word,
     norm_survey,
     omega_chain_bracket,
@@ -156,6 +157,21 @@ def test_lens_two_routes_exact_form():
             entry = heegaard_word_matrix(md, lens_word(p, sign=-1))[(0, 0)]
             bracket = omega_chain_bracket(md, ChainSurgery((p,)))
             assert d * bracket == d * d * entry
+
+
+def test_lens_routes_agree_in_exact_norm():
+    for r in (5, 7, 11):
+        md = build_modular_data(r)
+        for p in range(-12, 13):
+            assert lens_routes_agree(md, p), (r, p)
+            # the exact squared norm is real and matches the float output
+            x = tau(md, ChainSurgery((p,))).value
+            nsq = x * x.conj()
+            assert nsq.conj() == nsq
+            assert abs(nsq.embed() - tau(md, ChainSurgery((p,))).norm ** 2) < 1e-9
+        # the comparison is not vacuous: sign 0 pairs the chain (1), which is
+        # S^3 with |tau| = 1/D, with the word ss of S^1 x S^2, whose norm is 1
+        assert not lens_routes_agree(md, 1, sign=0)
 
 
 def test_lens_word_sign_calibration():

@@ -1,8 +1,13 @@
+import copy
 import random
+
+import numpy as np
 import pytest
 
 from so3tqft.cyclo import CycNumber
 from so3tqft.sl2_char import (
+    _tensor_multiplicities,
+    _verify_orthogonality,
     borel_check,
     borel_group,
     borel_table,
@@ -229,8 +234,8 @@ def test_regular_and_screening():
 
 
 def test_dual_route_guard():
-    # tensor_decompose raises if the exact and mod-p answers could diverge;
-    # a full pass over one table exercises both routes
+    # the multiplicity array is read off mod p and certified exactly when the
+    # table is built; a full pass over one table reads every row of it
     tbl = sl2_table(5)
     k = tbl.num_classes()
     for a in range(k):
@@ -239,3 +244,66 @@ def test_dual_route_guard():
             assert all(m >= 0 for m in mults)
             total = sum(m * d for m, d in zip(mults, tbl.degrees))
             assert total == tbl.degrees[a] * tbl.degrees[b]
+
+
+def _exact_inner_product(table, a, b, c):
+    """<chi_a chi_b, chi_c> as one exact sum over the classes in the value
+    field, independent of the certified mod-p array."""
+    g = table.group
+    f = table.value_field
+    ct = table.char_table
+    acc = f.zero
+    for i in range(table.num_classes()):
+        acc = acc + ct[a][i] * ct[b][i] * ct[c][g.inverse_class[i]] * g.class_sizes[i]
+    q = acc.as_fraction() / g.order()
+    assert q.denominator == 1 and q >= 0
+    return int(q)
+
+
+@pytest.mark.parametrize("r", [5, 7])
+def test_tensor_decompose_matches_exact_inner_products(r):
+    tbl = sl2_table(r)
+    k = tbl.num_classes()
+    for a in range(k):
+        for b in range(k):
+            oracle = [_exact_inner_product(tbl, a, b, c) for c in range(k)]
+            assert tensor_decompose(tbl, a, b) == oracle, (r, a, b)
+
+
+def test_certificate_rejects_a_tampered_modp_entry():
+    tbl = sl2_table(7)
+    assert np.array_equal(_tensor_multiplicities(tbl), tbl.tensor_mults)
+    p = tbl.dixon_prime
+    for a, i in [(0, 0), (4, 2), (10, 10)]:
+        bad = copy.copy(tbl)
+        bad.char_table_modp = [row[:] for row in tbl.char_table_modp]
+        bad.char_table_modp[a][i] = (bad.char_table_modp[a][i] + 1) % p
+        with pytest.raises(ArithmeticError):
+            _tensor_multiplicities(bad)
+
+
+def test_orthogonality_rejects_a_conjugated_value():
+    tbl = sl2_table(7)
+    _verify_orthogonality(tbl)
+    tampered = 0
+    for a, row in enumerate(tbl.char_table):
+        for i, v in enumerate(row):
+            if v.conj() == v or tampered == 3:
+                continue
+            bad = copy.copy(tbl)
+            bad.char_table = [row[:] for row in tbl.char_table]
+            bad.char_table[a][i] = v.conj()
+            with pytest.raises(ArithmeticError):
+                _verify_orthogonality(bad)
+            tampered += 1
+    assert tampered == 3
+
+
+def test_tensor_degrees_add_up():
+    tbl = sl2_table(13)
+    k = tbl.num_classes()
+    for a in range(k):
+        for b in range(k):
+            mults = tensor_decompose(tbl, a, b)
+            total = sum(m * d for m, d in zip(mults, tbl.degrees))
+            assert total == tbl.degrees[a] * tbl.degrees[b], (a, b)
