@@ -47,6 +47,7 @@ from .sl2_char import (
     tensor_decompose,
 )
 from .mfld3 import (
+    MAX_SURVEY_LEN,
     ChainSurgery,
     heegaard_tau,
     lens_routes_agree,
@@ -63,7 +64,6 @@ EXIT_CAPACITY = 3
 MAX_CHARTAB_R = SUPPORTED_RANGE[1]
 MAX_IMAGE_R = 13
 MAX_DIMS_GENUS = 12
-MAX_SURVEY_LEN = 20
 
 
 class CapacityError(Exception):

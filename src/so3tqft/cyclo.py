@@ -253,12 +253,16 @@ class CycField:
     def __repr__(self):
         return f"CycField(Q(zeta_{self.n}))"
 
-    def product_dtype(self, ma: int, mb: int, terms: int = 1):
-        """Work dtype for a sum of `terms` products of coefficient vectors
-        bounded by ma and mb: bounds the operands, the convolution and its
-        reduction."""
+    def product_bound(self, ma: int, mb: int, terms: int = 1) -> int:
+        """Bound on every magnitude met in a sum of `terms` products of
+        coefficient vectors bounded by ma and mb: the operands, every partial
+        sum of the convolution and of its reduction."""
         d = self.degree
-        return work_dtype(max(ma, mb, ma * mb * terms * d * (1 + d * self.red_max)))
+        return max(ma, mb, ma * mb * terms * d * (1 + d * self.red_max))
+
+    def product_dtype(self, ma: int, mb: int, terms: int = 1):
+        """Integer work dtype for the sum that product_bound bounds."""
+        return work_dtype(self.product_bound(ma, mb, terms))
 
     def reduce(self, full):
         """Reduce convolution coefficients (last axis, length <= 2d - 1)
@@ -541,10 +545,12 @@ class CycNumber:
         return CycNumber(field, num.tolist(), self.den)
 
     def to_json(self):
+        """Each coefficient as a reduced fraction [numerator, denominator]."""
+        den = self.den
         coeffs = []
         for x in self.num:
-            q = Fraction(x, self.den)
-            coeffs.append([q.numerator, q.denominator])
+            g = gcd(x, den)
+            coeffs.append([x // g, den // g])
         return {"n": self.field.n, "coeffs": coeffs}
 
     @staticmethod

@@ -8,14 +8,19 @@ array of Python ints otherwise, so the stored data are canonical and key()
 is exact.  Every operation has one numpy code path: products accumulate
 shifted coefficient blocks and reduce them through the field's reduction
 table, exactly as scalar products do, and only the dtype of the work arrays
-is chosen per call from a worst-case magnitude bound (int64 where it cannot
-overflow, Python ints otherwise).  CycNumber objects are built only at the
-API edge: indexing, entries, rows, JSON output and embedding.
+is chosen per call from a worst-case magnitude bound.  Products (_product,
+which also takes stacks of matrices along leading axes) have three tiers:
+float64 when the bound on every partial sum is below 2^53, where BLAS sums
+of integers are exact whatever their order; int64 where it cannot
+overflow; Python ints otherwise.  A float64 result is cast back to int64,
+so stored arrays and keys do not depend on the tier.  CycNumber objects are
+built only at the API edge: indexing, entries, rows, JSON output and
+embedding.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -24,24 +29,70 @@ from .cyclo import CycField, CycNumber, work_dtype
 __all__ = ["CycMatrix"]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# float64 sums of integers are exact while every partial sum is below this
+_FLOAT64_EXACT = 1 << 53
 
 
 def _max_abs(arr) -> int:
     return int(np.abs(arr).max(initial=0))
 
 
+def _product_dtype(field: CycField, ma: int, mb: int, terms: int):
+    """Work dtype for a product kernel call: float64 (BLAS) when the proven
+    bound on every partial sum is below 2^53, so each one is an exactly
+    represented integer; otherwise cyclo's int64 or Python-int choice."""
+    bound = field.product_bound(ma, mb, terms)
+    return np.float64 if bound < _FLOAT64_EXACT else work_dtype(bound)
+
+
 def _product(field: CycField, a, b):
-    """Coefficients of the matrix product of the blocks a (m, n, d) and
-    b (n, k, d), denominators aside."""
-    m, n, d = a.shape
-    k = b.shape[1]
-    dt = field.product_dtype(_max_abs(a), _max_abs(b), n)
+    """Coefficients of the matrix products of the blocks a (..., m, n, d) and
+    b (..., n, k, d), broadcast over the leading axes, denominators aside.
+    The result is int64 or, past the int64 bound, Python ints."""
+    *_, m, n, d = a.shape
+    k = b.shape[-2]
+    dt = _product_dtype(field, _max_abs(a), _max_abs(b), n)
     a = a.astype(dt, copy=False)
-    b = b.astype(dt, copy=False).reshape(n, k * d)
-    full = np.zeros((m, k, 2 * d - 1), dtype=dt)
-    for p in np.flatnonzero(a.any(axis=(0, 1))):  # skip all-zero coefficient planes
-        full[:, :, p : p + d] += (a[:, :, p] @ b).reshape(m, k, d)
-    return field.reduce(full)
+    b = b.astype(dt, copy=False).reshape(b.shape[:-2] + (k * d,))
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-2])
+    full = np.zeros(lead + (m, k, 2 * d - 1), dtype=dt)
+    # skip all-zero coefficient planes
+    for p in np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1)))):
+        full[..., p : p + d] += (a[..., p] @ b).reshape(lead + (m, k, d))
+    out = field.reduce(full)
+    return out.astype(np.int64) if dt is np.float64 else out
+
+
+def _normalize(arr, den):
+    """Canonical form of the stack of matrices arr[i] / den[i]: each divided
+    by the gcd of its coefficients and denominator, with denominator 1 for a
+    zero matrix.  Returns the numerators (dtype kept) and the denominators
+    as an object array of Python ints."""
+    lead = (len(arr),) + (1,) * (arr.ndim - 1)
+    content = np.gcd.reduce(arr.reshape(len(arr), -1), axis=1).astype(object)
+    den = np.where(content == 0, 1, np.asarray(den, dtype=object))
+    g = np.gcd(content, den)  # divides the coefficients, so fits their dtype
+    return arr // g.astype(arr.dtype).reshape(lead), den // g
+
+
+def _key(arr, den: int):
+    """The canonical hashable key of arr / den, arr already in canonical
+    form and storage dtype."""
+    data = tuple(arr.ravel().tolist()) if arr.dtype == object else arr.tobytes()
+    return (arr.shape[0], arr.shape[1], den, data)
+
+
+def _storage(arr):
+    """arr as stored: int64 exactly when every coefficient fits."""
+    if arr.dtype == object and _max_abs(arr) <= _INT64_MAX:
+        return arr.astype(np.int64)
+    return arr
+
+
+def _stack_keys(arr, den):
+    """The key() of each matrix arr[i] / den[i] of a normalized stack (see
+    _normalize), without building the matrices."""
+    return [_key(_storage(a), q) for a, q in zip(arr, den.tolist())]
 
 
 class CycMatrix:
@@ -53,9 +104,12 @@ class CycMatrix:
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         den = lcm(*(e.den for e in entries))
-        arr = np.array(
-            [[x * (den // e.den) for x in e.num] for e in entries], dtype=object
-        )
+        nums = [
+            e.num if e.den == den else [x * (den // e.den) for x in e.num]
+            for e in entries
+        ]
+        big = max((max(max(v), -min(v)) for v in nums), default=0)
+        arr = np.array(nums, dtype=np.int64 if big <= _INT64_MAX else object)
         self._set(field, arr.reshape(rows, cols, field.degree), den)
 
     @classmethod
@@ -68,19 +122,12 @@ class CycMatrix:
         """Store arr / den in canonical form: gcd-normalized, positive
         denominator (1 for the zero matrix), int64 exactly when every
         coefficient fits."""
-        content = int(np.gcd.reduce(arr, axis=None))
-        if content == 0:
-            den = 1
-        g = gcd(content, den)
-        if g > 1:
-            arr = arr // g
-            den //= g
-        if arr.dtype == object and _max_abs(arr) <= _INT64_MAX:
-            arr = arr.astype(np.int64)
+        arr, den = _normalize(arr[None], (den,))
+        arr = _storage(arr[0])
         arr.setflags(write=False)
         self.field = field
         self.rows, self.cols = arr.shape[:2]
-        self.den = den
+        self.den = den[0]
         self.arr = arr
 
     # -- constructors --------------------------------------------------------
@@ -198,9 +245,7 @@ class CycMatrix:
 
     def key(self):
         """Canonical hashable key (used by the group-closure hash set)."""
-        arr = self.arr
-        data = tuple(arr.ravel().tolist()) if arr.dtype == object else arr.tobytes()
-        return (self.rows, self.cols, self.den, data)
+        return _key(self.arr, self.den)
 
     def is_zero(self):
         return not self.arr.any()

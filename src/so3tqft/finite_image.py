@@ -5,7 +5,12 @@ row-major order, which gives a unique exact representative per projective
 class; the closure is then a breadth-first search under left multiplication
 by the generators, hashing canonical coefficient data.  The search is
 deterministic: frontier order, generator order and shortest words are all
-reproducible.
+reproducible.  It runs by blocks: a block of frontier elements is multiplied
+by all distinct generator matrices in one kernel call, and the products are
+canonicalized, gcd-normalized and keyed as one stack, with one inversion per
+distinct pivot; new elements are then taken in the order the
+one-at-a-time search would find them, so orders, words and cut-offs are
+unchanged.
 
 Besides the raw closure, identify_group pins the group down: it compares the
 order against |SL2(F_r)| = r(r^2-1) and |PSL2(F_r)| = r(r^2-1)/2, computes
@@ -18,14 +23,13 @@ distinguishes r = 1 from r = 3 mod 4).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycNumber
-from .cycmatrix import CycMatrix
+from .cyclo import CycNumber, work_dtype
+from .cycmatrix import CycMatrix, _normalize, _product, _stack_keys
 from .modular_data import build_modular_data, rho_genus1
 from .sl2_char import sl2_inv, sl2_mul
 from .weil import build_weil, verify_odd_block_identification
@@ -72,19 +76,43 @@ class ProjMatrix:
 
 @lru_cache(maxsize=1024)
 def _scalar_inverse(c: CycNumber) -> CycNumber:
-    # bounded: `image` at its cap r = 13 inverts 204 distinct pivots
+    # bounded: `image` at its cap r = 13 inverts 205 distinct pivots
     return c.inv()
+
+
+def _canonical_stack(field, raw):
+    """Numerators and denominators (as cycmatrix._normalize returns them) of
+    the canonical representatives of the nonzero matrices in the stack raw,
+    whose denominators do not matter: dividing by the pivot cancels them.
+
+    The pivot is factored as content times primitive part, and each
+    distinct primitive part is inverted once."""
+    p, d = len(raw), field.degree
+    flat = raw.reshape(p, -1, d)
+    nonzero = flat.any(axis=2)
+    if not nonzero.any(axis=1).all():
+        raise ValueError("cannot canonicalize the zero matrix")
+    pivots = flat[np.arange(p), nonzero.argmax(axis=1)]
+    content = np.gcd.reduce(pivots, axis=1)
+    distinct = {}
+    which = [
+        distinct.setdefault(tuple(v), len(distinct))
+        for v in (pivots // content[:, None]).tolist()
+    ]
+    invs = [_scalar_inverse(CycNumber(field, v, 1)) for v in distinct]
+    nums = np.array(
+        [u.num for u in invs], dtype=work_dtype(max(u.max_abs_coeff() for u in invs))
+    )
+    # raw / pivot = raw * u / content, u the inverse of the primitive part
+    out = _product(field, flat[:, :, None, :], nums[which][:, None, None, :])
+    dens = np.array([u.den for u in invs], dtype=object)[which]
+    return _normalize(out.reshape(raw.shape), dens * content.astype(object))
 
 
 def canonicalize(m: CycMatrix) -> ProjMatrix:
     """Divide by the first nonzero entry in row-major order."""
-    nonzero = np.flatnonzero((m.arr != 0).any(axis=2))
-    if not len(nonzero):
-        raise ValueError("cannot canonicalize the zero matrix")
-    pivot = m[divmod(int(nonzero[0]), m.cols)]
-    if pivot == m.field.one:
-        return ProjMatrix(m)
-    return ProjMatrix(m.scalar_mul(_scalar_inverse(pivot)))
+    arr, den = _canonical_stack(m.field, m.arr[None])
+    return ProjMatrix(CycMatrix._from_array(m.field, arr[0], den[0]))
 
 
 def proj_inverse(m: CycMatrix) -> CycMatrix:
@@ -108,6 +136,71 @@ class GroupClosure:
         return canonicalize(m).key() in self.elements
 
 
+# frontier elements multiplied by one batched product; larger blocks save no
+# time and raise peak memory (`image --r 11`: 49.3 MB at 16, 54.6 MB at 64)
+_BLOCK = 16
+
+
+def _bfs(gens, start, canonical: bool, mul_label=None):
+    """Breadth-first closure of start under left multiplication by gens.
+
+    Elements and generators are pairs (label, CycMatrix).  The product of a
+    generator (a, g) and an element (b, m) is (mul_label(a, b), g @ m), with
+    g @ m replaced by its canonical representative when `canonical` is set;
+    without mul_label every label stays None.  Two elements are equal when
+    their labels and matrix keys are.
+
+    Yields (label, matrix, matrix key, parent index, generator index) for
+    each new element in the order of the one-at-a-time search: frontier
+    order, then generator order.  The frontier is taken _BLOCK elements at
+    a time, and all their products with the distinct generator matrices
+    are one kernel call, canonicalized and keyed as one stack; only the new
+    elements are copied out of it."""
+    field = start[1].field
+    n = start[1].rows
+    d = field.degree
+    # one product per distinct generator matrix (canonically rho(s)^-1 = rho(s))
+    slot, distinct = {}, []
+    for _, g in gens:
+        if g.key() not in slot:
+            slot[g.key()] = len(distinct)
+            distinct.append(g)
+    slots = [slot[g.key()] for _, g in gens]
+    u = len(distinct)
+    stacked = np.concatenate([g.arr for g in distinct])  # (u n, n, d)
+    gen_dens = np.array([g.den for g in distinct], dtype=object)
+
+    frontier = [start]
+    seen = {(start[0], start[1].key())}
+    head = 0
+    while head < len(frontier):
+        block = frontier[head : head + _BLOCK]
+        b = len(block)
+        operand = np.concatenate([m.arr for _, m in block], axis=1)  # (n, b n, d)
+        raw = _product(field, stacked, operand).reshape(u, n, b, n, d)
+        raw = raw.transpose(2, 0, 1, 3, 4).reshape(b * u, n, n, d)
+        if canonical:
+            arr, dens = _canonical_stack(field, raw)
+        else:
+            block_dens = np.array([m.den for _, m in block], dtype=object)
+            arr, dens = _normalize(raw, np.outer(block_dens, gen_dens).ravel())
+        keys = _stack_keys(arr, dens)
+        new = []
+        for i, (label, _) in enumerate(block):
+            for j, (gen_label, _) in enumerate(gens):
+                s = i * u + slots[j]
+                lab = mul_label(gen_label, label) if mul_label else None
+                if (lab, keys[s]) not in seen:
+                    seen.add((lab, keys[s]))
+                    new.append((lab, s, head + i, j))
+        compact = arr[[s for _, s, _, _ in new]]
+        for (lab, s, parent, j), a in zip(new, compact):
+            m = CycMatrix._from_array(field, a, dens[s])
+            frontier.append((lab, m))
+            yield lab, m, keys[s], parent, j
+        head += b
+
+
 def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
     """BFS closure of the projective classes of `gens` under left
     multiplication.  Exceeding max_order is reported through complete=False
@@ -118,29 +211,20 @@ def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
         names = tuple(f"g{i}" for i in range(len(gens)))
     field = gens[0].field
     n = gens[0].rows
-    gens_c = [canonicalize(g).mat for g in gens]
+    gens_c = [(None, canonicalize(g).mat) for g in gens]
 
     ident = canonicalize(CycMatrix.identity(field, n))
     elements = {ident.key(): ident}
     words = {ident.key(): ""}
-    queue = deque([ident])
+    order = [""]  # words in discovery order
     complete = True
-    while queue:
-        cur = queue.popleft()
-        w = words[cur.key()]
-        for name, g in zip(names, gens_c):
-            nxt = canonicalize(g @ cur.mat)
-            k = nxt.key()
-            if k not in elements:
-                if len(elements) >= max_order:
-                    complete = False
-                    queue.clear()
-                    break
-                elements[k] = nxt
-                words[k] = name + w
-                queue.append(nxt)
-        if not complete:
+    for _, mat, key, parent, j in _bfs(gens_c, (None, ident.mat), canonical=True):
+        if len(elements) >= max_order:
+            complete = False
             break
+        elements[key] = ProjMatrix(mat)
+        words[key] = names[j] + order[parent]
+        order.append(words[key])
     return GroupClosure(
         order=len(elements),
         elements=elements,
@@ -166,13 +250,17 @@ def weil_generators(r: int):
     )
 
 
-@lru_cache(maxsize=None)
+# closures kept per process: one holds up to |PSL2(F_13)| = 1092 matrices
+_CLOSURE_CACHE = 8
+
+
+@lru_cache(maxsize=_CLOSURE_CACHE)
 def so3_closure(r: int, max_order: int = 10**7) -> GroupClosure:
     names, gens = so3_generators(r)
     return closure(gens, max_order=max_order, names=names)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CLOSURE_CACHE)
 def weil_closure(r: int, max_order: int = 10**7) -> GroupClosure:
     names, gens = weil_generators(r)
     return closure(gens, max_order=max_order, names=names)
@@ -197,28 +285,18 @@ _SL2_S = lambda r: (0, r - 1, 1, 0)
 _SL2_T = lambda r: (1, 1, 0, 1)
 
 
-def _graph_closure(pairs, ident_second, mul_second, key_second, r, bound):
-    """Closure of [(g_i, M_i)] in SL2(F_r) x (matrix group).  Returns the
-    element dict; the subgroup is the graph of a homomorphism iff its order
-    equals r^3 - r."""
-    elements = {}
-    queue = deque()
-
-    def push(g, m):
-        k = (g, key_second(m))
-        if k not in elements:
-            elements[k] = (g, m)
-            queue.append((g, m))
-            return True
-        return False
-
-    push((1, 0, 0, 1), ident_second)
-    while queue:
-        g, m = queue.popleft()
-        for gg, mm in pairs:
-            if push(sl2_mul(gg, g, r), mul_second(mm, m)):
-                if len(elements) > bound:
-                    return elements, False
+def _graph_closure(pairs, ident_second, canonical, r, bound):
+    """Closure of [(g_i, M_i)] in SL2(F_r) x (matrix group), the matrices
+    taken projectively (canonicalized) when `canonical` is set.  Returns the
+    element dict keyed by (g, matrix key); the subgroup is the graph of a
+    homomorphism iff its order equals r^3 - r."""
+    start = ((1, 0, 0, 1), ident_second)
+    elements = {(start[0], ident_second.key()): start}
+    mul = lambda a, b: sl2_mul(a, b, r)
+    for g, m, key, _, _ in _bfs(pairs, start, canonical, mul):
+        elements[(g, key)] = (g, m)
+        if len(elements) > bound:
+            return elements, False
     return elements, True
 
 
@@ -236,11 +314,8 @@ def mod_r_graph_report(r: int) -> dict:
         (sl2_inv(t, r), canonicalize(proj_inverse(rho_t)).mat),
     ]
 
-    def mul_second(a, b):
-        return canonicalize(a @ b).mat
-
     elements, complete = _graph_closure(
-        pairs, ident.mat, mul_second, lambda m: m.key(), r, bound=2 * r * (r * r - 1)
+        pairs, ident.mat, True, r, bound=2 * r * (r * r - 1)
     )
     group_order = r * (r * r - 1)
     is_graph = complete and len(elements) == group_order
@@ -300,8 +375,7 @@ def linear_lift_report(r: int) -> dict:
     elements, complete = _graph_closure(
         pairs,
         CycMatrix.identity(f, len(md.labels)),
-        lambda x, y: x @ y,
-        lambda m: m.key(),
+        False,
         r,
         bound=2 * r * (r * r - 1),
     )

@@ -45,7 +45,11 @@ __all__ = [
     "calibrate_lens_word_sign",
     "norm_survey",
     "LENS_WORD_SIGN",
+    "MAX_SURVEY_LEN",
 ]
+
+# longest word length norm_survey accepts
+MAX_SURVEY_LEN = 20
 
 
 @dataclass(frozen=True)
@@ -255,8 +259,8 @@ def norm_survey(md: ModularData, max_word_len: int) -> dict:
     in contrast with the higher-genus situation."""
     from .finite_image import canonicalize, so3_closure
 
-    if max_word_len > 20:
-        raise ValueError("survey capped at word length 20")
+    if max_word_len > MAX_SURVEY_LEN:
+        raise ValueError(f"survey capped at word length {MAX_SURVEY_LEN}")
     rho_s, rho_t = rho_genus1(md.r)
     ident = CycMatrix.identity(md.field, len(md.labels))
 

@@ -1,7 +1,10 @@
 import random
+from collections import deque
 
 import pytest
 
+import so3tqft.cycmatrix as cycmatrix
+import so3tqft.finite_image as finite_image
 from so3tqft.cycmatrix import CycMatrix
 from so3tqft.finite_image import (
     canonicalize,
@@ -14,9 +17,130 @@ from so3tqft.finite_image import (
     so3_closure,
     so3_generators,
     weil_closure,
+    weil_generators,
     weil_image_equality,
 )
 from so3tqft.modular_data import build_modular_data, rho_genus1
+from so3tqft.sl2_char import sl2_mul
+
+
+# The one-element-at-a-time searches that the batched search replaced, kept
+# here as oracles for its element order, words and cut-offs.
+
+
+def reference_closure(gens, max_order=10**7, names=None):
+    names = names or tuple(f"g{i}" for i in range(len(gens)))
+    gens_c = [canonicalize(g).mat for g in gens]
+    ident = canonicalize(CycMatrix.identity(gens[0].field, gens[0].rows))
+    elements = {ident.key(): ident}
+    words = {ident.key(): ""}
+    queue = deque([ident])
+    while queue:
+        cur = queue.popleft()
+        for name, g in zip(names, gens_c):
+            nxt = canonicalize(g @ cur.mat)
+            if nxt.key() not in elements:
+                if len(elements) >= max_order:
+                    return elements, words, False
+                elements[nxt.key()] = nxt
+                words[nxt.key()] = name + words[cur.key()]
+                queue.append(nxt)
+    return elements, words, True
+
+
+def reference_graph_closure(pairs, ident_second, canonical, r, bound):
+    mul = (lambda a, b: canonicalize(a @ b).mat) if canonical else (lambda a, b: a @ b)
+    elements = {}
+    queue = deque()
+
+    def push(g, m):
+        k = (g, m.key())
+        if k not in elements:
+            elements[k] = (g, m)
+            queue.append((g, m))
+            return True
+        return False
+
+    push((1, 0, 0, 1), ident_second)
+    while queue:
+        g, m = queue.popleft()
+        for gg, mm in pairs:
+            if push(sl2_mul(gg, g, r), mul(mm, m)) and len(elements) > bound:
+                return elements, False
+    return elements, True
+
+
+@pytest.mark.parametrize("r", (5, 7))
+@pytest.mark.parametrize("which", ("so3", "weil"))
+def test_batched_closure_matches_one_at_a_time_search(r, which):
+    names, gens = (so3_generators if which == "so3" else weil_generators)(r)
+    gc = (so3_closure if which == "so3" else weil_closure)(r)
+    elements, words, complete = reference_closure(gens, names=names)
+    assert gc.complete and complete
+    assert list(gc.elements) == list(elements)
+    assert list(gc.generator_words.items()) == list(words.items())
+    assert all(gc.elements[k] == elements[k] for k in elements)
+
+
+@pytest.mark.parametrize("r", (5, 7))
+def test_batched_graph_closures_match_one_at_a_time_search(r, monkeypatch):
+    calls = []
+    batched = finite_image._graph_closure
+
+    def spy(*args, **kwargs):
+        out = batched(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(finite_image, "_graph_closure", spy)
+    mod_r_graph_report(r)
+    linear_lift_report(r)
+    assert [args[2] for args, _, _ in calls] == [True, False]  # projective, linear
+    for args, kwargs, (elements, complete) in calls:
+        want, want_complete = reference_graph_closure(*args, **kwargs)
+        assert complete == want_complete
+        assert list(elements) == list(want)
+        assert all(elements[k][1] == want[k][1] for k in want)
+
+
+def test_graph_closure_stops_after_the_push_past_the_bound():
+    r = 5
+    rho_s, rho_t = rho_genus1(r)
+    pairs = [((0, r - 1, 1, 0), canonicalize(rho_s).mat), ((1, 1, 0, 1), canonicalize(rho_t).mat)]
+    ident = CycMatrix.identity(rho_s.field, rho_s.rows)
+    for bound in (1, 2, 7, 50, 119, 120):
+        elements, complete = finite_image._graph_closure(pairs, ident, True, r, bound)
+        want, want_complete = reference_graph_closure(pairs, ident, True, r, bound)
+        assert (complete, list(elements)) == (want_complete, list(want))
+        assert len(elements) == (120 if complete else bound + 1)
+
+
+def test_max_order_cut_off_matches_one_at_a_time_search():
+    names, gens = so3_generators(5)
+    for m in range(1, 61):
+        gc = closure(gens, max_order=m, names=names)
+        elements, words, complete = reference_closure(gens, max_order=m, names=names)
+        assert gc.complete == complete == (m == 60)
+        assert list(gc.elements) == list(elements)
+        assert gc.generator_words == words
+
+
+def test_closure_through_python_int_work_arrays(monkeypatch):
+    # every product on object arrays: keys and order must not depend on it
+    names, gens = so3_generators(5)
+    want = closure(gens, names=names)
+    monkeypatch.setattr(cycmatrix, "_product_dtype", lambda *args: object)
+    got = closure(gens, names=names)
+    assert list(got.elements) == list(want.elements)
+    assert got.generator_words == want.generator_words
+
+
+def test_closure_caches_are_bounded():
+    for cached in (so3_closure, weil_closure):
+        assert cached.cache_info().maxsize == finite_image._CLOSURE_CACHE <= 16
+    for m in range(1, 2 * finite_image._CLOSURE_CACHE + 1):
+        so3_closure(5, max_order=m)
+    assert so3_closure.cache_info().currsize <= finite_image._CLOSURE_CACHE
 
 
 def test_canonicalize_scalar_collapse():

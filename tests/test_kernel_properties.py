@@ -1,9 +1,12 @@
-"""Property tests of the exact kernel on both sides of the int64/big-int switch.
+"""Property tests of the exact kernel on both sides of its dtype switches.
 
 Scalar products and conjugates are compared with sympy's remainder modulo
 the cyclotomic polynomial; matrix products, scalar multiples and sums with
 entrywise CycNumber arithmetic.  Coefficients are drawn up to 2^62, so the
-work dtype chosen from the worst-case bound falls on either side.  Inverses
+work dtype chosen from the worst-case bound falls on every side: float64
+below 2^53 (matrix products only), int64 below 2^61, Python ints above.
+Matrix products in the float64 tier are also compared with the same product
+run on Python ints.  Inverses
 are compared with sympy's invert where that finishes quickly (two-term
 numerators, or degree 8) and otherwise checked by sympy's product.
 """
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from sympy import QQ, Poly, cyclotomic_poly, invert, symbols
 
 from so3tqft.cyclo import _INT64_GUARD, CycNumber, _split_primes, get_field
-from so3tqft.cycmatrix import CycMatrix
+from so3tqft.cycmatrix import CycMatrix, _product, _product_dtype
 
 X = symbols("x")
 
@@ -27,6 +30,9 @@ MODULI = (20, 52, 124, 148)
 INV_MODULI = (20, 52, 76, 124, 148)
 
 KERNEL = settings(max_examples=25, deadline=None)
+
+# float64 represents every integer of magnitude up to 2^53 exactly
+FLOAT64_EXACT = 1 << (np.finfo(np.float64).nmant + 1)
 
 
 def coeffs(d, min_bits=0, max_bits=62):
@@ -95,6 +101,66 @@ def test_scalar_mul_at_the_dtype_switch(n):
         assert f.product_dtype(ma, m) is dtype
         b = [m] * d
         assert (CycNumber(f, a, 1) * CycNumber(f, b, 1)).num == sympy_mul(a, b, n)
+
+
+def _max(arr):
+    return int(np.abs(arr).max(initial=0))
+
+
+def object_product(f, a, b, shift=64):
+    """_product(f, a, b) computed on Python ints: a scaled by 2^shift puts
+    the bound past int64, and the exact result is scaled back."""
+    big = a.astype(object) * (1 << shift)
+    assert _product_dtype(f, _max(big), _max(b), a.shape[1]) is object or not a.any()
+    return _product(f, big, b).astype(object) // (1 << shift)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_matrix_product_at_the_float64_switch(n):
+    # the largest and smallest factors on each side of the float64 bound
+    f = get_field(n)
+    d = f.degree
+    k = 3
+    ma = 1 << 20
+    mb = (FLOAT64_EXACT - 1) // (ma * k * d * (1 + d * f.red_max))
+    a = np.array([[[ma if (i + j + p) % 2 else -ma for p in range(d)] for j in range(k)]
+                  for i in range(2)], dtype=np.int64)
+    for m, dtype in ((mb, np.float64), (mb + 1, np.int64)):
+        assert (f.product_bound(ma, m, k) < FLOAT64_EXACT) == (dtype is np.float64)
+        assert _product_dtype(f, ma, m, k) is dtype
+        b = np.full((k, 2, d), m, dtype=np.int64)
+        b[1, 0] = -m
+        got = _product(f, a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, object_product(f, a, b))
+        want = [
+            [
+                sum(
+                    (CycNumber(f, a[i, j].tolist(), 1) * CycNumber(f, b[j, l].tolist(), 1)
+                     for j in range(k)),
+                    f.zero,
+                ).num
+                for l in range(2)
+            ]
+            for i in range(2)
+        ]
+        assert [[tuple(x) for x in row] for row in got.tolist()] == want
+
+
+@pytest.mark.parametrize("n", (20, 52, 148))
+@KERNEL
+@given(data=st.data())
+def test_float64_products_match_python_int_products(n, data):
+    f = get_field(n)
+    d = f.degree
+    m, k, l = (data.draw(st.integers(1, 3)) for _ in range(3))
+    # magnitudes up to about the largest the float64 tier admits
+    top = (53 - (k * d * (1 + d * f.red_max)).bit_length()) // 2
+    a = np.array(data.draw(st.lists(coeffs(d, 0, top), min_size=m * k, max_size=m * k)))
+    b = np.array(data.draw(st.lists(coeffs(d, 0, top), min_size=k * l, max_size=k * l)))
+    a, b = a.reshape(m, k, d), b.reshape(k, l, d)
+    assert _product_dtype(f, _max(a), _max(b), k) is np.float64
+    assert np.array_equal(_product(f, a, b), object_product(f, a, b))
 
 
 def cyc_matrix(draw, f, rows, cols, max_bits=62):
