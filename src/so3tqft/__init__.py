@@ -27,7 +27,6 @@ from .weil import (
     verify_odd_block_identification,
 )
 from .fusion_dims import (
-    FusionTensor,
     SurfaceSpec,
     dim_space,
     fusion_coeff,
@@ -50,7 +49,6 @@ from .sl2_char import (
     borel_check,
     borel_table,
     dixon_char_table,
-    enumerate_group,
     regular_congruence_check,
     sl2_table,
     tensor_decompose,

@@ -543,7 +543,11 @@ def main(argv=None) -> int:
     except (ValueError, argparse.ArgumentTypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

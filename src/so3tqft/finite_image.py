@@ -10,7 +10,9 @@ by all distinct generator matrices in one kernel call, and the products are
 canonicalized, gcd-normalized and keyed as one stack, with one inversion per
 distinct pivot; new elements are then taken in the order the
 one-at-a-time search would find them, so orders, words and cut-offs are
-unchanged.
+unchanged.  The odd Weil generators are not searched again: once the
+odd-block identification holds, their canonical forms equal those of the
+genus-1 generators, and weil_closure checks that and returns so3_closure.
 
 Besides the raw closure, identify_group pins the group down: it compares the
 order against |SL2(F_r)| = r(r^2-1) and |PSL2(F_r)| = r(r^2-1)/2, computes
@@ -207,6 +209,8 @@ def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
     rather than raised: not terminating within the bound is a finding."""
     if not gens:
         raise ValueError("need at least one generator")
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
     if names is None:
         names = tuple(f"g{i}" for i in range(len(gens)))
     field = gens[0].field
@@ -260,21 +264,32 @@ def so3_closure(r: int, max_order: int = 10**7) -> GroupClosure:
     return closure(gens, max_order=max_order, names=names)
 
 
+def weil_image_equality(r: int) -> bool:
+    """The odd Weil pair and the genus-1 pair generate the same projective
+    image.  After the exact odd-block identification (the two pairs are
+    scalar multiples of each other), the canonical Weil generators must
+    equal the canonical genus-1 generators in order, so the two closures
+    are one and the same search."""
+    verify_odd_block_identification(r)  # the scalar identification; raises on mismatch
+    keys = lambda gens: [canonicalize(g).key() for g in gens]
+    return keys(weil_generators(r)[1]) == keys(so3_generators(r)[1])
+
+
 @lru_cache(maxsize=_CLOSURE_CACHE)
 def weil_closure(r: int, max_order: int = 10**7) -> GroupClosure:
-    names, gens = weil_generators(r)
-    return closure(gens, max_order=max_order, names=names)
+    """Closure of the odd Weil generators, certified by weil_image_equality
+    to be the closure of the genus-1 generators."""
+    if not weil_image_equality(r):
+        raise ArithmeticError("canonical Weil generators differ from the genus-1 ones")
+    return so3_closure(r, max_order)
 
 
 def projective_order(m: CycMatrix, bound: int = 10**5) -> int:
-    start = canonicalize(m)
-    ident_key = canonicalize(CycMatrix.identity(m.field, m.rows)).key()
-    cur = start
-    for k in range(1, bound + 1):
-        if cur.key() == ident_key:
-            return k
-        cur = canonicalize(cur.mat @ start.mat)
-    raise ArithmeticError("projective order exceeds bound")
+    """Order of the projective class of m: the order of its cyclic closure."""
+    gc = closure([m], max_order=bound)
+    if not gc.complete:
+        raise ArithmeticError("projective order exceeds bound")
+    return gc.order
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +452,3 @@ def identify_group(gc: GroupClosure, r: int) -> dict:
     }
     return report
 
-
-def weil_image_equality(r: int) -> bool:
-    """The closures generated by the odd Weil pair and by the genus-1 pair
-    coincide as sets of canonical matrices (no basis change needed: the two
-    generating pairs are scalar multiples of each other entrywise)."""
-    verify_odd_block_identification(r)  # the scalar identification; raises on mismatch
-    a = so3_closure(r)
-    b = weil_closure(r)
-    return a.order == b.order and set(a.elements.keys()) == set(b.elements.keys())

@@ -22,7 +22,6 @@ from .modular_data import _require_level, so3_labels
 
 __all__ = [
     "SurfaceSpec",
-    "FusionTensor",
     "labels",
     "fusion_coeff",
     "fusion_matrix",
@@ -66,17 +65,6 @@ class SurfaceSpec:
             raise ValueError("genus must be non-negative")
         for h in self.boundary:
             _check_label(self.r, h)
-
-
-class FusionTensor:
-    """The symmetric 0/1 tensor N(a, b, c) at a fixed level."""
-
-    def __init__(self, r: int):
-        _require_level(r)
-        self.r = r
-
-    def n(self, a, b, c) -> int:
-        return fusion_coeff(self.r, a, b, c)
 
 
 @lru_cache(maxsize=None)

@@ -261,6 +261,8 @@ def norm_survey(md: ModularData, max_word_len: int) -> dict:
 
     if max_word_len > MAX_SURVEY_LEN:
         raise ValueError(f"survey capped at word length {MAX_SURVEY_LEN}")
+    if max_word_len < 0:
+        raise ValueError("survey word length must be non-negative")
     rho_s, rho_t = rho_genus1(md.r)
     ident = CycMatrix.identity(md.field, len(md.labels))
 

@@ -3,13 +3,16 @@ Burnside-Dixon method, plus the tensor-product and induction checks built
 on top of them.
 
 The pipeline is classical: enumerate the group, partition it into conjugacy
-classes by orbit search, form the class-multiplication matrices, split their
-common eigenvectors over a prime field F_p with p = 1 (mod exponent) and
-p > 2 sqrt(|G|), normalize to central characters, recover degrees through
-orthogonality mod p, and lift each character value exactly by reading off
-root-of-unity multiplicities with a discrete Fourier transform mod p.  The
-lifted values are CycNumber elements of Q(zeta_exponent).  Row and column
-orthogonality are then each verified as one exact CycMatrix identity.
+classes by orbit search, form the class-multiplication matrices M_i, find
+their common eigenvectors over a prime field F_p with p = 1 (mod exponent)
+and p > 2 sqrt(|G|), normalize to central characters, recover degrees
+through orthogonality mod p, and lift each character value exactly by
+reading off root-of-unity multiplicities with a discrete Fourier transform
+mod p.  The eigenvectors come from one matrix M(x) = sum_i x^i M_i with k
+distinct eigenvalues: its eigenspaces are lines that every M_i preserves.
+The lifted values are CycNumber elements of Q(zeta_exponent).  Row and
+column orthogonality are then each verified as one exact CycMatrix
+identity.
 
 Tensor-product multiplicities M[a, b, c] = <chi_a chi_b, chi_c> are read off
 for all (a, b, c) at once mod p and then certified: for every class i the
@@ -35,7 +38,6 @@ __all__ = [
     "FiniteGroupTable",
     "sl2_group",
     "borel_group",
-    "enumerate_group",
     "dixon_char_table",
     "sl2_table",
     "borel_table",
@@ -249,147 +251,47 @@ def _nullspace(mat, p):
     return basis
 
 
-def _poly_gcd_modp(f, g, p):
-    def trim(h):
-        h = list(h)
-        while h and h[-1] % p == 0:
-            h.pop()
-        return h
-
-    f, g = trim(f), trim(g)
-    while g:
-        while len(f) >= len(g) and f:
-            c = f[-1] * pow(g[-1], p - 2, p) % p
-            sh = len(f) - len(g)
-            for i, gc in enumerate(g):
-                f[sh + i] = (f[sh + i] - c * gc) % p
-            f = trim(f)
-        f, g = g, f
-    iv = pow(f[-1], p - 2, p)
-    return [x * iv % p for x in f]
-
-
-def _poly_lcm_modp(f, g, p):
-    gg = _poly_gcd_modp(f, g, p)
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                prod[i + j] = (prod[i + j] + a * b) % p
-    q = [0] * (len(prod) - len(gg) + 1)
-    while len(prod) >= len(gg) and any(x % p for x in prod):
-        c = prod[-1] * pow(gg[-1], p - 2, p) % p
-        sh = len(prod) - len(gg)
-        q[sh] = c
-        for i, gc in enumerate(gg):
-            prod[sh + i] = (prod[sh + i] - c * gc) % p
-        while prod and prod[-1] % p == 0:
-            prod.pop()
-    return q
-
-
-def _minpoly_modp(mat, p):
-    """Minimal polynomial as the lcm of Krylov minimal polynomials over the
-    standard basis; complete and deterministic."""
-    dim = len(mat)
-
-    def local(v):
-        vecs = [v]
-        for _ in range(dim):
-            w = [sum(mat[i][j] * vecs[-1][j] for j in range(dim)) % p for i in range(dim)]
-            vecs.append(w)
-        m = [[vecs[c][rw] for c in range(dim + 1)] for rw in range(dim)]
-        piv = {}
-        rr = 0
-        for c in range(dim + 1):
-            pr = next((rw for rw in range(rr, dim) if m[rw][c] % p), None)
-            if pr is None:
-                coeffs = [0] * (c + 1)
-                coeffs[c] = 1
-                for cc, rrw in piv.items():
-                    coeffs[cc] = (-m[rrw][c]) % p
-                return coeffs
-            m[rr], m[pr] = m[pr], m[rr]
-            iv = pow(m[rr][c], p - 2, p)
-            m[rr] = [(x * iv) % p for x in m[rr]]
-            for rw in range(dim):
-                if rw != rr and m[rw][c] % p:
-                    fct = m[rw][c]
-                    m[rw] = [(x - fct * y) % p for x, y in zip(m[rw], m[rr])]
-            piv[c] = rr
-            rr += 1
-        return [1]
-
-    mp = [1]
-    for bi in range(dim):
-        v = [1 if i == bi else 0 for i in range(dim)]
-        mp = _poly_lcm_modp(mp, local(v), p)
-    return mp
-
-
-def _restrict_action(mat, basis, p, k):
-    """Action matrix R with mat @ basis[a] = sum_b R[a][b] basis[b]; raises
-    if the span is not invariant."""
-    bs = len(basis)
-    mb = [
-        [sum(mat[i][j] * basis[a][j] for j in range(k)) % p for i in range(k)]
-        for a in range(bs)
-    ]
-    aug = [[basis[b][i] for b in range(bs)] + [mb[a][i] for a in range(bs)] for i in range(k)]
-    rr = 0
-    for c in range(bs):
-        pr = next((rw for rw in range(rr, k) if aug[rw][c] % p), None)
-        if pr is None:
-            raise ArithmeticError("basis is degenerate")
-        aug[rr], aug[pr] = aug[pr], aug[rr]
-        iv = pow(aug[rr][c], p - 2, p)
-        aug[rr] = [(x * iv) % p for x in aug[rr]]
-        for rw in range(k):
-            if rw != rr and aug[rw][c] % p:
-                fct = aug[rw][c]
-                aug[rw] = [(x - fct * y) % p for x, y in zip(aug[rw], aug[rr])]
-        rr += 1
-    for rw in range(rr, k):
-        if any(aug[rw][bs + a] % p for a in range(bs)):
-            raise ArithmeticError("subspace not invariant under class matrix")
-    return [[aug[b][bs + a] for b in range(bs)] for a in range(bs)]
+def _charpoly_modp(a, p):
+    """Coefficients of det(lambda I - a) mod p, constant term first, by
+    Faddeev-LeVerrier: 1..k must be units mod p, and k^2 p^2 must fit in
+    int64 (the trace of a product of two reduced matrices)."""
+    k = len(a)
+    coeffs = [0] * k + [1]
+    m = np.zeros_like(a)
+    for j in range(1, k + 1):
+        m = a @ m
+        m[np.diag_indices(k)] += coeffs[k - j + 1]
+        m %= p
+        coeffs[k - j] = -int(np.trace(a @ m)) * pow(j, -1, p) % p
+    return coeffs
 
 
 def _split_eigenvectors(tensor, p, k):
-    """Common eigenvectors of all class-multiplication matrices over F_p."""
-    spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for i in range(k):
-        if all(len(sp) == 1 for sp in spaces):
-            break
-        mat = [[tensor[i][j][kk] % p for kk in range(k)] for j in range(k)]
-        new_spaces = []
-        for sp in spaces:
-            if len(sp) == 1:
-                new_spaces.append(sp)
-                continue
-            act = _restrict_action(mat, sp, p, k)
-            mp = _minpoly_modp(act, p)
-            roots = [
-                lam
-                for lam in range(p)
-                if sum(mp[t] * pow(lam, t, p) for t in range(len(mp))) % p == 0
+    """Common eigenvectors over F_p of the class-multiplication matrices
+    M_i[j, l] = a_ijl, split by one combination M(x) = sum_i x^i M_i.
+
+    For x = 2, 3, ..., p - 1 the characteristic polynomial of M(x) is
+    evaluated at every lambda in F_p; the first x with k distinct roots is
+    taken (x = 1 never works: sum_i K_i sends every nontrivial central
+    character to 0).  Each M_i commutes with M(x), so it preserves the k
+    one-dimensional eigenspaces, and their spanning vectors are common
+    eigenvectors of all class matrices.  Raises ArithmeticError when no x
+    has k distinct roots, e.g. when p is not 1 mod the exponent."""
+    mats = np.array(tensor, dtype=np.int64) % p
+    lams = np.arange(p, dtype=np.int64)
+    for x in range(2, p):
+        powers = np.array([pow(x, i, p) for i in range(k)], dtype=np.int64)
+        comb = np.tensordot(powers, mats, axes=1) % p
+        vals = np.zeros(p, dtype=np.int64)
+        for c in reversed(_charpoly_modp(comb, p)):
+            vals = (vals * lams + c) % p
+        roots = np.flatnonzero(vals == 0)
+        if len(roots) == k:
+            return [
+                _nullspace(((comb - lam * np.eye(k, dtype=np.int64)) % p).tolist(), p)[0]
+                for lam in roots
             ]
-            for lam in roots:
-                shifted = [
-                    [(act[b][a] - (lam if a == b else 0)) % p for b in range(len(sp))]
-                    for a in range(len(sp))
-                ]
-                null = _nullspace(shifted, p)
-                sub = [
-                    [sum(v[a] * sp[a][j] for a in range(len(sp))) % p for j in range(k)]
-                    for v in null
-                ]
-                if sub:
-                    new_spaces.append(sub)
-        spaces = new_spaces
-    if not all(len(sp) == 1 for sp in spaces) or len(spaces) != k:
-        raise ArithmeticError("eigenspace splitting incomplete")
-    return [sp[0] for sp in spaces]
+    raise ArithmeticError("no class-matrix combination has distinct eigenvalues mod p")
 
 
 @dataclass
@@ -433,11 +335,6 @@ class FiniteGroupTable:
             if all(v == one for v in row):
                 return i
         raise ArithmeticError("trivial character missing")
-
-
-def enumerate_group(r: int) -> FiniteGroupTable:
-    """Elements and conjugacy classes of SL2(F_r), characters not yet filled."""
-    return FiniteGroupTable(r=r, group_name="SL2", group=sl2_group(r))
 
 
 def dixon_char_table(table: FiniteGroupTable) -> FiniteGroupTable:
@@ -599,7 +496,9 @@ def _tensor_multiplicities(table: FiniteGroupTable) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def sl2_table(r: int) -> FiniteGroupTable:
-    return dixon_char_table(enumerate_group(r))
+    return dixon_char_table(
+        FiniteGroupTable(r=r, group_name="SL2", group=sl2_group(r))
+    )
 
 
 @lru_cache(maxsize=None)

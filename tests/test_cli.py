@@ -153,6 +153,21 @@ def test_image_not_finite_within_bound(capsys):
     assert report["order_reached"] == 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modular-data", "--r", "5", "--json", "--out", "{tmp}/missing/x.json"],
+        ["tau", "--r", "5", "--survey", "-3", "--json"],
+        ["image", "--r", "5", "--max-order", "0", "--json"],
+        ["image", "--r", "5", "--max-order", "-4", "--json"],
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_tau_json(capsys):
     code, out, _ = run(capsys, "tau", "--r", "5", "--chain", "2", "--json")
     assert code == 0

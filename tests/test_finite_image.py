@@ -267,5 +267,17 @@ def test_weil_image_equality():
     assert weil_image_equality(7)
 
 
+def test_weil_certificate_rejects_a_tampered_generator(monkeypatch):
+    names, gens = weil_generators(5)
+    for tampered in (
+        (gens[0], gens[1] @ gens[1], gens[2], gens[3]),  # t replaced by t^2
+        (gens[1], gens[0], gens[2], gens[3]),  # s and t swapped
+    ):
+        monkeypatch.setattr(finite_image, "weil_generators", lambda r: (names, tampered))
+        assert not weil_image_equality(5)
+        with pytest.raises(ArithmeticError):
+            weil_closure.__wrapped__(5)
+
+
 def test_weil_closure_order_r11():
     assert weil_closure(11).order == so3_closure(11).order == 660

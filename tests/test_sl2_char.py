@@ -6,13 +6,14 @@ import pytest
 
 from so3tqft.cyclo import CycNumber
 from so3tqft.sl2_char import (
+    _dixon_primes,
+    _split_eigenvectors,
     _tensor_multiplicities,
     _verify_orthogonality,
     borel_check,
     borel_group,
     borel_table,
     chi_beta_report,
-    enumerate_group,
     regular_congruence_check,
     screen_induction_triples,
     sl2_group,
@@ -40,11 +41,41 @@ def test_group_orders_and_classes():
 
 def test_enumerate_group_range():
     with pytest.raises(ValueError):
-        enumerate_group(17)
+        sl2_group(17)
     with pytest.raises(ValueError):
-        enumerate_group(4)
-    tbl = enumerate_group(7)
-    assert tbl.char_table is None and tbl.group.num_classes() == 11
+        sl2_group(4)
+    assert sl2_group(7).num_classes() == 11
+
+
+def _proportional(v, w, p):
+    """v and w are proportional mod p iff every 2x2 minor vanishes."""
+    return not ((np.outer(v, w) - np.outer(w, v)) % p).any()
+
+
+@pytest.mark.parametrize("r", PRIMES)
+@pytest.mark.parametrize("group", (sl2_group, borel_group))
+def test_split_gives_common_eigenvectors(group, r):
+    g = group(r)
+    k = g.num_classes()
+    tensor = g.class_mult_tensor()
+    p = next(_dixon_primes(g.order(), g.exponent))
+    vecs = np.array(_split_eigenvectors(tensor, p, k), dtype=np.int64)
+    assert vecs.shape == (k, k)
+    assert all(((v % p) != 0).any() for v in vecs)
+    for a in range(k):
+        for b in range(a + 1, k):
+            assert not _proportional(vecs[a], vecs[b], p)
+    for mat in np.array(tensor, dtype=np.int64) % p:
+        for v in vecs:
+            assert _proportional(mat @ v % p, v, p)
+
+
+def test_split_raises_when_eigenvalues_are_not_in_f_p():
+    # 43 is not 1 mod the exponent 168 of SL2(F_7), so some central
+    # characters take values outside F_43
+    g = sl2_group(7)
+    with pytest.raises(ArithmeticError):
+        _split_eigenvectors(g.class_mult_tensor(), 43, g.num_classes())
 
 
 def test_degrees():
@@ -57,7 +88,8 @@ def test_degrees():
         assert nontrivial_small == [half, half]
         assert tbl.degrees.count(1) == 1
     # the Dixon prime sequence is pinned: p = 1 (mod exponent), p > 2 sqrt(order)
-    assert sl2_table(11).dixon_prime == 661
+    assert [sl2_table(r).dixon_prime for r in PRIMES] == [61, 337, 661, 1093]
+    assert [borel_table(r).dixon_prime for r in PRIMES] == [41, 43, 331, 157]
     # 1 + 2 ((r-1)/2)^2 = (r^2 - 2r + 3)/2 instantiated at r = 11
     assert 1 + 2 * ((11 - 1) // 2) ** 2 == (11 * 11 - 2 * 11 + 3) // 2 == 51
 
