@@ -7,6 +7,13 @@ appear only through explicit embeddings.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# One BLAS thread, set before numpy is first imported: the kernel's float64
+# matmuls are small, and a second OpenBLAS thread spins on each of them.  A
+# value already in the environment is kept.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cyclo import CycField, CycNumber, embed, get_field, sqrt_r, zeta
 from .cycmatrix import CycMatrix
 from .modular_data import (

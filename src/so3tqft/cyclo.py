@@ -272,6 +272,18 @@ class CycField:
         red = self.red_np[: tail.shape[-1]].astype(full.dtype, copy=False)
         return full[..., :d] + tail @ red
 
+    def mul_matrix(self, a):
+        """Multiplication matrices of the elements stored along the last axis
+        of a: shape (..., d, d), row p holding the coefficients of z^p times
+        the element.  The rows are the d shifted copies of its coefficients,
+        reduced; the dtype is the integer one product_dtype picks."""
+        d = self.degree
+        ma = int(np.abs(a).max(initial=0))
+        full = np.zeros(a.shape[:-1] + (d, 2 * d - 1), dtype=self.product_dtype(ma, 1))
+        for p in range(d):
+            full[..., p, p : p + d] = a
+        return self.reduce(full)
+
     def conj_coeffs(self, arr, ma: int):
         """Coefficients of the complex conjugates of the elements stored
         along the last axis of arr, whose coefficients are bounded by ma."""
@@ -435,10 +447,7 @@ class CycNumber:
         ma = self.max_abs_coeff()
 
         # m[j] = num * z^j reduced, column j of the multiplication matrix M
-        full = np.zeros((d, 2 * d - 1), dtype=f.product_dtype(ma, 1))
-        for j in range(d):
-            full[j, j : j + d] = self.num
-        m = f.reduce(full)
+        m = f.mul_matrix(np.array(self.num, dtype=object))
         mx = int(np.abs(m).max())
         m = m.astype(work_dtype(d * mx * mx))
         # Hadamard: |det M| and the entries of adj(M) e_0 are at most

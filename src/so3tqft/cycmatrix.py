@@ -13,9 +13,21 @@ which also takes stacks of matrices along leading axes) have three tiers:
 float64 when the bound on every partial sum is below 2^53, where BLAS sums
 of integers are exact whatever their order; int64 where it cannot
 overflow; Python ints otherwise.  A float64 result is cast back to int64,
-so stored arrays and keys do not depend on the tier.  CycNumber objects are
-built only at the API edge: indexing, entries, rows, JSON output and
-embedding.
+so stored arrays and keys do not depend on the tier.
+
+A product by a fixed matrix b is one matmul instead: multiplying by a fixed
+element is linear, and _mul_matrix(b) is its matrix, row (j, p) holding the
+coefficients of zeta^p b[j, l], built from the d reduced shifted copies of
+each entry (CycField.mul_matrix).  _mul_product takes the same tiers from
+the bound max|a| max|_mul_matrix(b)| (n d), n d the contracted length, and
+its result needs no reduction.  scalar_mul, the canonical scaling of a BFS
+stack and the BFS products by the generators take this path; products whose
+two sides both vary, such as character tables and Heegaard words, keep
+_product.  The package sets OPENBLAS_NUM_THREADS=1 on import unless it is
+already set, so these small float64 matmuls run on one BLAS thread.
+
+CycNumber objects are built only at the API edge: indexing, entries, rows,
+JSON output and embedding.
 """
 
 from __future__ import annotations
@@ -37,12 +49,17 @@ def _max_abs(arr) -> int:
     return int(np.abs(arr).max(initial=0))
 
 
-def _product_dtype(field: CycField, ma: int, mb: int, terms: int):
-    """Work dtype for a product kernel call: float64 (BLAS) when the proven
-    bound on every partial sum is below 2^53, so each one is an exactly
-    represented integer; otherwise cyclo's int64 or Python-int choice."""
-    bound = field.product_bound(ma, mb, terms)
+def _tier(bound: int):
+    """Work dtype for a product whose operands and partial sums are proven
+    bounded by `bound`: float64 (BLAS) below 2^53, where each one is an
+    exactly represented integer; otherwise cyclo's int64 or Python-int
+    choice."""
     return np.float64 if bound < _FLOAT64_EXACT else work_dtype(bound)
+
+
+def _product_dtype(field: CycField, ma: int, mb: int, terms: int):
+    """Work dtype for a _product call."""
+    return _tier(field.product_bound(ma, mb, terms))
 
 
 def _product(field: CycField, a, b):
@@ -60,6 +77,36 @@ def _product(field: CycField, a, b):
     for p in np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1)))):
         full[..., p : p + d] += (a[..., p] @ b).reshape(lead + (m, k, d))
     out = field.reduce(full)
+    return out.astype(np.int64) if dt is np.float64 else out
+
+
+def _mul_matrix(field: CycField, b):
+    """The multiplication matrix of the blocks b (..., n, k, d): shape
+    (..., n d, k d), entry ((j, p), (l, q)) the coefficient q of
+    zeta^p b[j, l], so that the coefficients of the product of a (..., m, n, d)
+    and b are a (..., m, n d) @ _mul_matrix(b), already reduced."""
+    *lead, n, k, d = b.shape
+    rows = field.mul_matrix(b)  # (..., n, k, p, q)
+    return rows.swapaxes(-3, -2).reshape(*lead, n * d, k * d)
+
+
+def _mul_dtype(a, bmul):
+    """Work dtype for _mul_product(a, bmul): every partial sum is a sum of at
+    most n d (the contracted length) products of entries of a and bmul."""
+    n, d = a.shape[-2:]
+    ma, mb = _max_abs(a), _max_abs(bmul)
+    return _tier(max(ma, mb, ma * mb * n * d))
+
+
+def _mul_product(a, bmul):
+    """Coefficients of the matrix products of the blocks a (..., m, n, d) and
+    the fixed blocks b whose multiplication matrices are bmul (see
+    _mul_matrix), broadcast over the leading axes: one matmul, already
+    reduced, in the tiers of _product."""
+    *lead, m, n, d = a.shape
+    dt = _mul_dtype(a, bmul)
+    out = a.reshape(*lead, m, n * d).astype(dt, copy=False) @ bmul.astype(dt, copy=False)
+    out = out.reshape(out.shape[:-1] + (-1, d))
     return out.astype(np.int64) if dt is np.float64 else out
 
 
@@ -118,16 +165,26 @@ class CycMatrix:
         out._set(field, arr, den)
         return out
 
+    @classmethod
+    def _from_normalized(cls, field: CycField, arr, den: int) -> "CycMatrix":
+        """arr / den, already in the form _normalize returns."""
+        out = cls.__new__(cls)
+        out._store(field, arr, den)
+        return out
+
     def _set(self, field, arr, den):
         """Store arr / den in canonical form: gcd-normalized, positive
         denominator (1 for the zero matrix), int64 exactly when every
         coefficient fits."""
         arr, den = _normalize(arr[None], (den,))
-        arr = _storage(arr[0])
+        self._store(field, arr[0], den[0])
+
+    def _store(self, field, arr, den):
+        arr = _storage(arr)
         arr.setflags(write=False)
         self.field = field
         self.rows, self.cols = arr.shape[:2]
-        self.den = den[0]
+        self.den = den
         self.arr = arr
 
     # -- constructors --------------------------------------------------------
@@ -179,9 +236,8 @@ class CycMatrix:
 
     def scalar_mul(self, c: CycNumber) -> "CycMatrix":
         d = self.field.degree
-        a = self.arr.reshape(-1, 1, d)
-        b = np.array(c.num, dtype=object).reshape(1, 1, d)
-        out = _product(self.field, a, b).reshape(self.arr.shape)
+        cmul = _mul_matrix(self.field, np.array(c.num, dtype=object).reshape(1, 1, d))
+        out = _mul_product(self.arr.reshape(-1, 1, d), cmul).reshape(self.arr.shape)
         return CycMatrix._from_array(self.field, out, self.den * c.den)
 
     def _combine(self, other, sign):

@@ -30,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycNumber, work_dtype
-from .cycmatrix import CycMatrix, _normalize, _product, _stack_keys
+from .cyclo import CycNumber
+from .cycmatrix import CycMatrix, _mul_matrix, _mul_product, _normalize, _stack_keys
 from .modular_data import build_modular_data, rho_genus1
 from .sl2_char import sl2_inv, sl2_mul
 from .weil import build_weil, verify_odd_block_identification
@@ -102,11 +102,10 @@ def _canonical_stack(field, raw):
         for v in (pivots // content[:, None]).tolist()
     ]
     invs = [_scalar_inverse(CycNumber(field, v, 1)) for v in distinct]
-    nums = np.array(
-        [u.num for u in invs], dtype=work_dtype(max(u.max_abs_coeff() for u in invs))
-    )
+    nums = np.array([u.num for u in invs], dtype=object)
     # raw / pivot = raw * u / content, u the inverse of the primitive part
-    out = _product(field, flat[:, :, None, :], nums[which][:, None, None, :])
+    umul = _mul_matrix(field, nums[:, None, None, :])
+    out = _mul_product(flat[:, :, None, :], umul[which])
     dens = np.array([u.den for u in invs], dtype=object)[which]
     return _normalize(out.reshape(raw.shape), dens * content.astype(object))
 
@@ -157,7 +156,9 @@ def _bfs(gens, start, canonical: bool, mul_label=None):
     order, then generator order.  The frontier is taken _BLOCK elements at
     a time, and all their products with the distinct generator matrices
     are one kernel call, canonicalized and keyed as one stack; only the new
-    elements are copied out of it."""
+    elements are copied out of it.  The distinct generators are fixed for
+    the whole search, so their products are one matmul per block against
+    their stacked multiplication matrix (cycmatrix._mul_matrix), built once."""
     field = start[1].field
     n = start[1].rows
     d = field.degree
@@ -169,7 +170,10 @@ def _bfs(gens, start, canonical: bool, mul_label=None):
             distinct.append(g)
     slots = [slot[g.key()] for _, g in gens]
     u = len(distinct)
+    # entries commute, so g @ m = (m^T g^T)^T: a block is its stacked m^T
+    # times the multiplication matrix gmul (n d, u n d) of [g_1^T ... g_u^T]
     stacked = np.concatenate([g.arr for g in distinct])  # (u n, n, d)
+    gmul = _mul_matrix(field, stacked.transpose(1, 0, 2))
     gen_dens = np.array([g.den for g in distinct], dtype=object)
 
     frontier = [start]
@@ -178,9 +182,9 @@ def _bfs(gens, start, canonical: bool, mul_label=None):
     while head < len(frontier):
         block = frontier[head : head + _BLOCK]
         b = len(block)
-        operand = np.concatenate([m.arr for _, m in block], axis=1)  # (n, b n, d)
-        raw = _product(field, stacked, operand).reshape(u, n, b, n, d)
-        raw = raw.transpose(2, 0, 1, 3, 4).reshape(b * u, n, n, d)
+        operand = np.concatenate([m.arr.transpose(1, 0, 2) for _, m in block])
+        raw = _mul_product(operand, gmul).reshape(b, n, u, n, d)  # (b, l, g, i)
+        raw = raw.transpose(0, 2, 3, 1, 4).reshape(b * u, n, n, d)
         if canonical:
             arr, dens = _canonical_stack(field, raw)
         else:
@@ -197,7 +201,7 @@ def _bfs(gens, start, canonical: bool, mul_label=None):
                     new.append((lab, s, head + i, j))
         compact = arr[[s for _, s, _, _ in new]]
         for (lab, s, parent, j), a in zip(new, compact):
-            m = CycMatrix._from_array(field, a, dens[s])
+            m = CycMatrix._from_normalized(field, a, dens[s])
             frontier.append((lab, m))
             yield lab, m, keys[s], parent, j
         head += b

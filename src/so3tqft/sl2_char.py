@@ -445,11 +445,13 @@ def _verify_orthogonality(table: FiniteGroupTable):
     f = table.value_field
     ct = table.char_table
     x = CycMatrix.from_rows(f, ct)
-    # w = D X'^T, w[i, a] = |C_i| chi_a(g_i^-1); its transpose is X' D
-    w = CycMatrix.diagonal(f, [f.from_int(s) for s in g.class_sizes]) @ (
-        CycMatrix.from_rows(f, [[row[j] for row in ct] for j in g.inverse_class])
-    )
-    n_id = CycMatrix.identity(f, k).scalar_mul(f.from_int(g.order()))
+    # w = D X'^T, w[i, a] = |C_i| chi_a(g_i^-1): row i of X'^T scaled by
+    # |C_i|; its transpose is X' D
+    w = CycMatrix.from_rows(f, [[row[j] for row in ct] for j in g.inverse_class])
+    sizes = np.array(g.class_sizes)
+    dt = work_dtype(int(sizes.max()) * int(np.abs(w.arr).max(initial=0)))
+    w = CycMatrix._from_array(f, w.arr.astype(dt) * sizes.astype(dt)[:, None, None], w.den)
+    n_id = CycMatrix._from_array(f, CycMatrix.identity(f, k).arr * g.order(), 1)
     if x @ w != n_id:
         raise ArithmeticError("row orthogonality failed")
     if x.transpose() @ w.transpose() != n_id:

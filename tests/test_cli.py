@@ -144,6 +144,34 @@ def test_output_is_byte_identical_across_runs(argv):
     assert outs[0] == outs[1]
 
 
+_THREADS = (
+    "import os, so3tqft; "
+    "print(os.environ['OPENBLAS_NUM_THREADS']); "
+    "print([l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')][0])"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_import_sets_one_blas_thread_unless_preset():
+    src = str(Path(so3tqft.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+
+    def run(**extra):
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS],
+            capture_output=True,
+            env=dict(env, **extra),
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert run() == ["1", "1"]
+    assert run(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
 def test_image_not_finite_within_bound(capsys):
     code, out, _ = run(capsys, "image", "--r", "5", "--max-order", "10", "--json")
     assert code == 1

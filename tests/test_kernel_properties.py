@@ -6,9 +6,10 @@ entrywise CycNumber arithmetic.  Coefficients are drawn up to 2^62, so the
 work dtype chosen from the worst-case bound falls on every side: float64
 below 2^53 (matrix products only), int64 below 2^61, Python ints above.
 Matrix products in the float64 tier are also compared with the same product
-run on Python ints.  Inverses
-are compared with sympy's invert where that finishes quickly (two-term
-numerators, or degree 8) and otherwise checked by sympy's product.
+run on Python ints, and products against a multiplication matrix with
+_product, on each side of the 2^53 bound over their contracted length.
+Inverses are compared with sympy's invert where that finishes quickly
+(two-term numerators, or degree 8) and otherwise checked by sympy's product.
 """
 
 from fractions import Fraction
@@ -20,7 +21,14 @@ from hypothesis import strategies as st
 from sympy import QQ, Poly, cyclotomic_poly, invert, symbols
 
 from so3tqft.cyclo import _INT64_GUARD, CycNumber, _split_primes, get_field
-from so3tqft.cycmatrix import CycMatrix, _product, _product_dtype
+from so3tqft.cycmatrix import (
+    CycMatrix,
+    _mul_dtype,
+    _mul_matrix,
+    _mul_product,
+    _product,
+    _product_dtype,
+)
 
 X = symbols("x")
 
@@ -115,6 +123,22 @@ def object_product(f, a, b, shift=64):
     return _product(f, big, b).astype(object) // (1 << shift)
 
 
+def entrywise_product(f, a, b):
+    """The coefficient rows of the matrix product of a and b, entry by entry
+    in CycNumber arithmetic."""
+    return [
+        [
+            sum(
+                (CycNumber(f, a[i, j].tolist(), 1) * CycNumber(f, b[j, l].tolist(), 1)
+                 for j in range(a.shape[1])),
+                f.zero,
+            ).num
+            for l in range(b.shape[1])
+        ]
+        for i in range(a.shape[0])
+    ]
+
+
 @pytest.mark.parametrize("n", MODULI)
 def test_matrix_product_at_the_float64_switch(n):
     # the largest and smallest factors on each side of the float64 bound
@@ -133,18 +157,38 @@ def test_matrix_product_at_the_float64_switch(n):
         got = _product(f, a, b)
         assert got.dtype == np.int64
         assert np.array_equal(got, object_product(f, a, b))
-        want = [
-            [
-                sum(
-                    (CycNumber(f, a[i, j].tolist(), 1) * CycNumber(f, b[j, l].tolist(), 1)
-                     for j in range(k)),
-                    f.zero,
-                ).num
-                for l in range(2)
-            ]
-            for i in range(2)
-        ]
-        assert [[tuple(x) for x in row] for row in got.tolist()] == want
+        assert [[tuple(x) for x in row] for row in got.tolist()] == entrywise_product(f, a, b)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_mul_product_at_the_float64_switch(n):
+    # the largest and smallest multipliers on each side of the float64 bound
+    # of a (2, k, d) product against the multiplication matrix of b, whose
+    # contracted length is k d
+    f = get_field(n)
+    d = f.degree
+    k = 3
+    ma = 1 << 20
+    a = np.array([[[ma if (i + j + p) % 2 else -ma for p in range(d)] for j in range(k)]
+                  for i in range(2)], dtype=np.int64)
+    unit = np.ones((k, 2, d), dtype=np.int64)
+    unit[1, 0] = -1
+    c = _max(_mul_matrix(f, unit))
+    mb = (FLOAT64_EXACT - 1) // (ma * c * k * d)
+    for m, dtype in ((mb, np.float64), (mb + 1, np.int64)):
+        b = unit * m
+        bmul = _mul_matrix(f, b)
+        assert _max(bmul) == m * c
+        assert (ma * m * c * k * d < FLOAT64_EXACT) == (dtype is np.float64)
+        assert _mul_dtype(a, bmul) is dtype
+        got = _mul_product(a, bmul)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _product(f, a, b))
+        assert [[tuple(x) for x in row] for row in got.tolist()] == entrywise_product(f, a, b)
+        # past 2^63: Python ints, the same coefficients scaled
+        big = a.astype(object) * (1 << 64)
+        assert _mul_dtype(big, bmul) is object
+        assert np.array_equal(_mul_product(big, bmul), got.astype(object) * (1 << 64))
 
 
 @pytest.mark.parametrize("n", (20, 52, 148))
@@ -161,6 +205,23 @@ def test_float64_products_match_python_int_products(n, data):
     a, b = a.reshape(m, k, d), b.reshape(k, l, d)
     assert _product_dtype(f, _max(a), _max(b), k) is np.float64
     assert np.array_equal(_product(f, a, b), object_product(f, a, b))
+
+
+@pytest.mark.parametrize("n", (20, 52, 148))
+@KERNEL
+@given(data=st.data())
+def test_mul_products_match_products(n, data):
+    # coefficients up to 2^70, so every tier is drawn
+    f = get_field(n)
+    d = f.degree
+    m, k, l = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a = data.draw(st.lists(coeffs(d, 0, 70), min_size=m * k, max_size=m * k))
+    b = data.draw(st.lists(coeffs(d, 0, 70), min_size=k * l, max_size=k * l))
+    a = np.array(a, dtype=object).reshape(m, k, d)
+    b = np.array(b, dtype=object).reshape(k, l, d)
+    got = _mul_product(a, _mul_matrix(f, b))
+    assert np.array_equal(got, _product(f, a, b))
+    assert [[tuple(x) for x in row] for row in got.tolist()] == entrywise_product(f, a, b)
 
 
 def cyc_matrix(draw, f, rows, cols, max_bits=62):
