@@ -88,35 +88,28 @@ def _split_primes(n: int):
         p -= n
 
 
-def _polydiv_int(num, den):
-    """Exact division of integer polynomials (raises if not exact)."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q, rem = divmod(c, den[dd])
-            if rem:
-                raise ArithmeticError("non-exact polynomial division")
-            out[i - dd] = q
-            for j in range(dd + 1):
-                num[i - dd + j] -= q * den[j]
-    if any(num[:dd]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of Phi_n, ascending degree, computed by dividing x^n - 1
-    by Phi_d for all proper divisors d of n."""
+    """Coefficients of Phi_n, ascending degree, by the product formula
+    Phi_n = prod_{m | n} (x^(n/m) - 1)^mu(m) over the squarefree m: multiply
+    by the factors with mu(m) = 1, then divide exactly by the others."""
     if n < 1:
         raise ValueError("n must be positive")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _polydiv_int(poly, cyclotomic_polynomial(d))
+    squarefree = [(1, 1)]  # (m, mu(m))
+    for p in range(2, n + 1):
+        if n % p == 0 and is_prime(p):
+            squarefree += [(m * p, -mu) for m, mu in squarefree]
+    poly = [1]
+    for d in [n // m for m, mu in squarefree if mu == 1]:
+        # (x^d - 1) p: coefficient i is p_(i-d) - p_i
+        padded = poly + [0] * d
+        poly = [(padded[i - d] if i >= d else 0) - padded[i] for i in range(len(padded))]
+    for d in [n // m for m, mu in squarefree if mu == -1]:
+        # p = (x^d - 1) q: q_i = q_(i-d) - p_i
+        q = []
+        for i in range(len(poly) - d):
+            q.append((q[i - d] if i >= d else 0) - poly[i])
+        poly = q
     return tuple(poly)
 
 

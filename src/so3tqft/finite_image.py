@@ -17,10 +17,11 @@ genus-1 generators, and weil_closure checks that and returns so3_closure.
 Besides the raw closure, identify_group pins the group down: it compares the
 order against |SL2(F_r)| = r(r^2-1) and |PSL2(F_r)| = r(r^2-1)/2, computes
 projective generator orders, checks the SL2(Z) relations, certifies that
-s -> rho(s), t -> rho(t) defines a homomorphism out of SL2(F_r) by closing
-the graph subgroup of SL2(F_r) x PGL, and solves for the unique scalar
-normalization making the pair an honest linear representation (whose image
-distinguishes r = 1 from r = 3 mod 4).
+s -> rho(s), t -> rho(t) defines a homomorphism out of SL2(F_r) by checking
+the relators of Sunday's presentation of PSL2(F_r) up to scalars, and solves
+for the unique scalar normalization making the pair an honest linear
+representation, certified by the relators of the presentation of SL2(F_r)
+(its image distinguishes r = 1 from r = 3 mod 4).
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import numpy as np
 
 from .cyclo import CycNumber
 from .cycmatrix import CycMatrix, _mul_matrix, _mul_product, _normalize, _stack_keys
-from .modular_data import build_modular_data, rho_genus1
-from .sl2_char import sl2_inv, sl2_mul
+from .modular_data import rho_genus1
 from .weil import build_weil, verify_odd_block_identification
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
     "so3_closure",
     "weil_closure",
     "projective_order",
+    "psl2_relators",
+    "sl2_relators",
     "mod_r_graph_report",
     "linear_lift_report",
     "identify_group",
@@ -142,68 +144,58 @@ class GroupClosure:
 _BLOCK = 16
 
 
-def _bfs(gens, start, canonical: bool, mul_label=None):
-    """Breadth-first closure of start under left multiplication by gens.
+def _bfs(gens, start):
+    """Breadth-first closure of the canonical matrix start under left
+    multiplication by the canonical matrices gens, products taken to their
+    canonical representatives.
 
-    Elements and generators are pairs (label, CycMatrix).  The product of a
-    generator (a, g) and an element (b, m) is (mul_label(a, b), g @ m), with
-    g @ m replaced by its canonical representative when `canonical` is set;
-    without mul_label every label stays None.  Two elements are equal when
-    their labels and matrix keys are.
-
-    Yields (label, matrix, matrix key, parent index, generator index) for
-    each new element in the order of the one-at-a-time search: frontier
-    order, then generator order.  The frontier is taken _BLOCK elements at
-    a time, and all their products with the distinct generator matrices
-    are one kernel call, canonicalized and keyed as one stack; only the new
-    elements are copied out of it.  The distinct generators are fixed for
-    the whole search, so their products are one matmul per block against
-    their stacked multiplication matrix (cycmatrix._mul_matrix), built once."""
-    field = start[1].field
-    n = start[1].rows
+    Yields (matrix, matrix key, parent index, generator index) for each new
+    element in the order of the one-at-a-time search: frontier order, then
+    generator order.  The frontier is taken _BLOCK elements at a time, and
+    all their products with the distinct generator matrices are one kernel
+    call, canonicalized and keyed as one stack; only the new elements are
+    copied out of it.  The distinct generators are fixed for the whole
+    search, so their products are one matmul per block against their
+    stacked multiplication matrix (cycmatrix._mul_matrix), built once."""
+    field = start.field
+    n = start.rows
     d = field.degree
     # one product per distinct generator matrix (canonically rho(s)^-1 = rho(s))
     slot, distinct = {}, []
-    for _, g in gens:
+    for g in gens:
         if g.key() not in slot:
             slot[g.key()] = len(distinct)
             distinct.append(g)
-    slots = [slot[g.key()] for _, g in gens]
+    slots = [slot[g.key()] for g in gens]
     u = len(distinct)
     # entries commute, so g @ m = (m^T g^T)^T: a block is its stacked m^T
     # times the multiplication matrix gmul (n d, u n d) of [g_1^T ... g_u^T]
     stacked = np.concatenate([g.arr for g in distinct])  # (u n, n, d)
     gmul = _mul_matrix(field, stacked.transpose(1, 0, 2))
-    gen_dens = np.array([g.den for g in distinct], dtype=object)
 
     frontier = [start]
-    seen = {(start[0], start[1].key())}
+    seen = {start.key()}
     head = 0
     while head < len(frontier):
         block = frontier[head : head + _BLOCK]
         b = len(block)
-        operand = np.concatenate([m.arr.transpose(1, 0, 2) for _, m in block])
+        operand = np.concatenate([m.arr.transpose(1, 0, 2) for m in block])
         raw = _mul_product(operand, gmul).reshape(b, n, u, n, d)  # (b, l, g, i)
         raw = raw.transpose(0, 2, 3, 1, 4).reshape(b * u, n, n, d)
-        if canonical:
-            arr, dens = _canonical_stack(field, raw)
-        else:
-            block_dens = np.array([m.den for _, m in block], dtype=object)
-            arr, dens = _normalize(raw, np.outer(block_dens, gen_dens).ravel())
+        arr, dens = _canonical_stack(field, raw)
         keys = _stack_keys(arr, dens)
         new = []
-        for i, (label, _) in enumerate(block):
-            for j, (gen_label, _) in enumerate(gens):
+        for i in range(b):
+            for j in range(len(gens)):
                 s = i * u + slots[j]
-                lab = mul_label(gen_label, label) if mul_label else None
-                if (lab, keys[s]) not in seen:
-                    seen.add((lab, keys[s]))
-                    new.append((lab, s, head + i, j))
-        compact = arr[[s for _, s, _, _ in new]]
-        for (lab, s, parent, j), a in zip(new, compact):
+                if keys[s] not in seen:
+                    seen.add(keys[s])
+                    new.append((s, head + i, j))
+        compact = arr[[s for s, _, _ in new]]
+        for (s, parent, j), a in zip(new, compact):
             m = CycMatrix._from_normalized(field, a, dens[s])
-            frontier.append((lab, m))
-            yield lab, m, keys[s], parent, j
+            frontier.append(m)
+            yield m, keys[s], parent, j
         head += b
 
 
@@ -219,14 +211,14 @@ def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
         names = tuple(f"g{i}" for i in range(len(gens)))
     field = gens[0].field
     n = gens[0].rows
-    gens_c = [(None, canonicalize(g).mat) for g in gens]
+    gens_c = [canonicalize(g).mat for g in gens]
 
     ident = canonicalize(CycMatrix.identity(field, n))
     elements = {ident.key(): ident}
     words = {ident.key(): ""}
     order = [""]  # words in discovery order
     complete = True
-    for _, mat, key, parent, j in _bfs(gens_c, (None, ident.mat), canonical=True):
+    for mat, key, parent, j in _bfs(gens_c, ident.mat):
         if len(elements) >= max_order:
             complete = False
             break
@@ -297,71 +289,78 @@ def projective_order(m: CycMatrix, bound: int = 10**5) -> int:
 
 
 # ---------------------------------------------------------------------------
-# mod-r matrices and the graph (fiber-product) certificates
+# the homomorphism certificates: presentations of PSL2(F_r) and SL2(F_r)
 
 
-_SL2_S = lambda r: (0, r - 1, 1, 0)
-_SL2_T = lambda r: (1, 1, 0, 1)
+def psl2_relators(r: int) -> tuple:
+    """Relators of Sunday's presentation of PSL2(F_r), r >= 5 prime, in
+    x = t and y = s: x^r, y^2, (xy)^3, (x^4 y x^h y)^2 with h = (r+1)/2.
+    A word is a tuple of (letter, exponent) pairs, read left to right."""
+    h = (r + 1) // 2
+    return (
+        (("x", r),),
+        (("y", 2),),
+        (("x", 1), ("y", 1)) * 3,
+        (("x", 4), ("y", 1), ("x", h), ("y", 1)) * 2,
+    )
 
 
-def _graph_closure(pairs, ident_second, canonical, r, bound):
-    """Closure of [(g_i, M_i)] in SL2(F_r) x (matrix group), the matrices
-    taken projectively (canonicalized) when `canonical` is set.  Returns the
-    element dict keyed by (g, matrix key); the subgroup is the graph of a
-    homomorphism iff its order equals r^3 - r."""
-    start = ((1, 0, 0, 1), ident_second)
-    elements = {(start[0], ident_second.key()): start}
-    mul = lambda a, b: sl2_mul(a, b, r)
-    for g, m, key, _, _ in _bfs(pairs, start, canonical, mul):
-        elements[(g, key)] = (g, m)
-        if len(elements) > bound:
-            return elements, False
-    return elements, True
+def sl2_relators(r: int) -> tuple:
+    """Relators of its central extension SL2(F_r), where y^2 = -I:
+    x^r, y^4, y^2 x y^-2 x^-1, (xy)^3 y^-2, (x^4 y x^h y)^2 y^2."""
+    x_r, _, braid, congruence = psl2_relators(r)
+    return (
+        x_r,
+        (("y", 4),),
+        (("y", 2), ("x", 1), ("y", -2), ("x", -1)),
+        braid + (("y", -2),),
+        congruence + (("y", 2),),
+    )
+
+
+def _relators_hold(relators, x, y, holds) -> bool:
+    """Whether holds(w(x, y)) for every relator w.  A negative exponent is
+    taken modulo n for the letter's power relator x^n or y^n, which is
+    checked too: when every relator holds, those powers are the inverses
+    (up to a scalar, when holds asks only for a scalar)."""
+    gens = {"x": x, "y": y}
+    order = {w[0][0]: w[0][1] for w in relators if len(w) == 1}
+    for word in relators:
+        m = CycMatrix.identity(x.field, x.rows)
+        for letter, e in word:
+            m = m @ gens[letter].matpow(e if e >= 0 else e % order[letter])
+        if not holds(m):
+            return False
+    return True
 
 
 def mod_r_graph_report(r: int) -> dict:
     """Certify that s -> rho(s), t -> rho(t) induces a homomorphism
-    SL2(F_r) -> PGL by closing the generated subgroup of the direct product
-    and checking it is a graph over SL2(F_r); also reports its kernel."""
+    SL2(F_r) -> PGL, and report its kernel.  It does exactly when every
+    relator of psl2_relators(r) is scalar at (rho(t), rho(s)); the pairs
+    (g, rho(g)) then generate its graph, of order r^3 - r.  The kernel
+    contains -I = s^2, and for r >= 5 the normal subgroups of SL2(F_r) are
+    1, {+-I} and SL2(F_r), so it is the center unless rho(s) and rho(t) are
+    both scalar.  When a relator fails, pair_closure_order and kernel_size
+    are None and kernel_is_center is False."""
     rho_s, rho_t = rho_genus1(r)
-    ident = canonicalize(CycMatrix.identity(rho_s.field, rho_s.rows))
-    s, t = _SL2_S(r), _SL2_T(r)
-    pairs = [
-        (s, canonicalize(rho_s).mat),
-        (t, canonicalize(rho_t).mat),
-        (sl2_inv(s, r), canonicalize(proj_inverse(rho_s)).mat),
-        (sl2_inv(t, r), canonicalize(proj_inverse(rho_t)).mat),
-    ]
-
-    elements, complete = _graph_closure(
-        pairs, ident.mat, True, r, bound=2 * r * (r * r - 1)
-    )
+    hom = _relators_hold(psl2_relators(r), rho_t, rho_s, CycMatrix.is_scalar)
     group_order = r * (r * r - 1)
-    is_graph = complete and len(elements) == group_order
-    kernel = sorted(g for (g, mk) in elements if mk == ident.key())
-    minus_ident = ((r - 1) % r, 0, 0, (r - 1) % r)
+    trivial = rho_s.is_scalar() and rho_t.is_scalar()
     return {
-        "pair_closure_order": len(elements),
-        "is_homomorphism": is_graph,
-        "kernel_size": len(kernel),
-        "kernel_is_center": set(kernel) == {(1, 0, 0, 1), minus_ident},
+        "pair_closure_order": group_order if hom else None,
+        "is_homomorphism": hom,
+        "kernel_size": (group_order if trivial else 2) if hom else None,
+        "kernel_is_center": hom and not trivial,
     }
 
 
-def linear_lift_report(r: int) -> dict:
-    """Solve for the unique scalars (lambda_s, lambda_t) making
-    (lambda_s rho(s), lambda_t rho(t)) a linear representation of SL2(F_r),
-    then certify it by the graph closure and read off the image of -I.
-
-    The braid relation fixes lambda_s lambda_t^3 times the projective braid
-    scalar to be 1; with lambda_s^4 = lambda_t^r = 1 the pair is unique."""
-    md = build_modular_data(r)
-    f = md.field
-    rho_s, rho_t = rho_genus1(r)
-
+def _lift_scalars(rho_s, rho_t, r):
+    """The unique (lambda_s, lambda_t) with lambda_s^4 = lambda_t^r = 1 and
+    lambda_s lambda_t^3 mu = 1, mu the projective braid scalar."""
+    f = rho_s.field
     braid = (rho_s @ rho_t).matpow(3)
-    s_sq = rho_s @ rho_s
-    assert s_sq.is_identity()
+    assert (rho_s @ rho_s).is_identity()
     mu = braid.scalar_value()  # (rho_s rho_t)^3 = mu * rho(s)^2 = mu * I
     k = f.root_of_unity_exponent(mu)
     if k is None:
@@ -374,39 +373,23 @@ def linear_lift_report(r: int) -> dict:
     # need lambda_s * lambda_t^3 * mu = 1 with lambda_s in mu_4, lambda_t in mu_r
     lam_s = f.zeta_power((-a % 4) * r)
     lam_t = f.zeta_power(4 * ((-b * pow(3, -1, r)) % r))
+    return lam_s, lam_t
+
+
+def linear_lift_report(r: int) -> dict:
+    """Solve for the unique scalars (lambda_s, lambda_t) making
+    (m_s, m_t) = (lambda_s rho(s), lambda_t rho(t)) a linear representation
+    of SL2(F_r), certify it by the relators of sl2_relators(r) at (m_t, m_s),
+    and read off m_s^2, the image of -I = s^2.
+
+    The braid relation fixes lambda_s lambda_t^3 times the projective braid
+    scalar to be 1; with lambda_s^4 = lambda_t^r = 1 the pair is unique."""
+    rho_s, rho_t = rho_genus1(r)
+    lam_s, lam_t = _lift_scalars(rho_s, rho_t, r)
     m_s = rho_s.scalar_mul(lam_s)
     m_t = rho_t.scalar_mul(lam_t)
-    assert (m_s @ m_t).matpow(3) == m_s @ m_s
-    assert m_t.matpow(r).is_identity()
-    assert m_s.matpow(4).is_identity()
-
-    s, t = _SL2_S(r), _SL2_T(r)
-    m_s_inv = m_s.scalar_mul(lam_s.conj() * lam_s.conj())  # m_s^-1 = lam_s^-2 m_s
-    m_t_inv = CycMatrix.diagonal(
-        f, [lam_t.conj() * md.theta_power(l, 1) for l in md.labels]
-    )
-    pairs = [
-        (s, m_s),
-        (t, m_t),
-        (sl2_inv(s, r), m_s_inv),
-        (sl2_inv(t, r), m_t_inv),
-    ]
-    elements, complete = _graph_closure(
-        pairs,
-        CycMatrix.identity(f, len(md.labels)),
-        False,
-        r,
-        bound=2 * r * (r * r - 1),
-    )
-    group_order = r * (r * r - 1)
-    is_rep = complete and len(elements) == group_order
-    minus_ident = ((r - 1) % r, 0, 0, (r - 1) % r)
-    image_of_minus = None
-    for (g, mk), (_, m) in elements.items():
-        if g == minus_ident:
-            image_of_minus = m
-            break
-    faithful = image_of_minus is not None and not image_of_minus.is_identity()
+    is_rep = _relators_hold(sl2_relators(r), m_t, m_s, CycMatrix.is_identity)
+    faithful = not (m_s @ m_s).is_identity()
     return {
         "lambda_s": lam_s.to_json(),
         "lambda_t": lam_t.to_json(),

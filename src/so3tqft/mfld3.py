@@ -132,10 +132,9 @@ def omega_chain_bracket(md: ModularData, chain: ChainSurgery) -> CycNumber:
     f = md.field
     if not framings:
         return f.one
-    d_inv = md.global_dim.inv()
 
     def weight(j, a):
-        return md.qdim[a] * d_inv * md.theta_power(a, framings[j])
+        return md.qdim[a] * md.global_dim_inv * md.theta_power(a, framings[j])
 
     k = len(framings)
     if k == 1:
@@ -165,14 +164,14 @@ def omega_chain_bracket(md: ModularData, chain: ChainSurgery) -> CycNumber:
 
 def kappa(md: ModularData) -> CycNumber:
     """The framing-anomaly root of unity p_minus / D."""
-    return md.p_minus * md.global_dim.inv()
+    return md.p_minus * md.global_dim_inv
 
 
 def tau(md: ModularData, chain: ChainSurgery) -> InvariantValue:
     """(1/D) <chain> (p_minus/D)^sigma, all factors exact."""
     bracket = omega_chain_bracket(md, chain)
     sigma = signature(chain.linking_matrix())
-    value = md.global_dim.inv() * bracket * kappa(md) ** sigma
+    value = md.global_dim_inv * bracket * kappa(md) ** sigma
     return InvariantValue.of(value)
 
 
@@ -184,7 +183,7 @@ def tau_union(md: ModularData, chains) -> InvariantValue:
     for c in chains:
         bracket = bracket * omega_chain_bracket(md, c)
         sigma += signature(c.linking_matrix())
-    value = md.global_dim.inv() * bracket * kappa(md) ** sigma
+    value = md.global_dim_inv * bracket * kappa(md) ** sigma
     return InvariantValue.of(value)
 
 

@@ -76,6 +76,7 @@ class ModularData:
     s_unitary: CycMatrix
     t_mat: CycMatrix
     global_dim: CycNumber
+    global_dim_inv: CycNumber
     p_plus: CycNumber
     p_minus: CycNumber
 
@@ -115,7 +116,8 @@ def build_modular_data(r: int) -> ModularData:
     if global_dim * global_dim != sum_d_sq:
         raise ArithmeticError("global dimension identity D^2 = sum d_i^2 failed")
 
-    s_unitary = s_tilde.scalar_mul(global_dim.inv())
+    global_dim_inv = global_dim.inv()
+    s_unitary = s_tilde.scalar_mul(global_dim_inv)
     t_mat = CycMatrix.diagonal(f, [twist[l] for l in labels])
 
     p_plus = f.zero
@@ -135,6 +137,7 @@ def build_modular_data(r: int) -> ModularData:
         s_unitary=s_unitary,
         t_mat=t_mat,
         global_dim=global_dim,
+        global_dim_inv=global_dim_inv,
         p_plus=p_plus,
         p_minus=p_minus,
     )
@@ -206,7 +209,7 @@ def dehn_twist_spectrum(r: int) -> SpectrumReport:
 
 def central_charge_order(md: ModularData) -> int:
     """Multiplicative order of p_minus / D, verified by exact powering."""
-    kappa = md.p_minus / md.global_dim
+    kappa = md.p_minus * md.global_dim_inv
     acc = kappa
     order = 1
     while acc != md.field.one:

@@ -31,6 +31,15 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(20) == (1, 0, -1, 0, 1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    from sympy import cyclotomic_poly, symbols
+
+    x = symbols("x")
+    for n in [*range(1, 400), 660, 1092, 3420]:
+        want = cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(want), n
+
+
 def test_is_prime_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))

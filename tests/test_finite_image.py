@@ -2,9 +2,13 @@ import random
 from collections import deque
 
 import pytest
+from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
+from sympy.combinatorics.free_groups import free_group
 
 import so3tqft.cycmatrix as cycmatrix
 import so3tqft.finite_image as finite_image
+from so3tqft.cli import MAX_IMAGE_R
+from so3tqft.cyclo import is_odd_prime
 from so3tqft.cycmatrix import CycMatrix
 from so3tqft.finite_image import (
     canonicalize,
@@ -14,6 +18,8 @@ from so3tqft.finite_image import (
     linear_lift_report,
     proj_inverse,
     projective_order,
+    psl2_relators,
+    sl2_relators,
     so3_closure,
     so3_generators,
     weil_closure,
@@ -21,11 +27,11 @@ from so3tqft.finite_image import (
     weil_image_equality,
 )
 from so3tqft.modular_data import build_modular_data, rho_genus1
-from so3tqft.sl2_char import sl2_mul
+from so3tqft.sl2_char import sl2_inv, sl2_mul
 
 
-# The one-element-at-a-time searches that the batched search replaced, kept
-# here as oracles for its element order, words and cut-offs.
+# The one-element-at-a-time search that the batched search replaced, kept
+# here as the oracle for its element order, words and cut-offs.
 
 
 def reference_closure(gens, max_order=10**7, names=None):
@@ -48,28 +54,6 @@ def reference_closure(gens, max_order=10**7, names=None):
     return elements, words, True
 
 
-def reference_graph_closure(pairs, ident_second, canonical, r, bound):
-    mul = (lambda a, b: canonicalize(a @ b).mat) if canonical else (lambda a, b: a @ b)
-    elements = {}
-    queue = deque()
-
-    def push(g, m):
-        k = (g, m.key())
-        if k not in elements:
-            elements[k] = (g, m)
-            queue.append((g, m))
-            return True
-        return False
-
-    push((1, 0, 0, 1), ident_second)
-    while queue:
-        g, m = queue.popleft()
-        for gg, mm in pairs:
-            if push(sl2_mul(gg, g, r), mul(mm, m)) and len(elements) > bound:
-                return elements, False
-    return elements, True
-
-
 @pytest.mark.parametrize("r", (5, 7))
 @pytest.mark.parametrize("which", ("so3", "weil"))
 def test_batched_closure_matches_one_at_a_time_search(r, which):
@@ -80,39 +64,6 @@ def test_batched_closure_matches_one_at_a_time_search(r, which):
     assert list(gc.elements) == list(elements)
     assert list(gc.generator_words.items()) == list(words.items())
     assert all(gc.elements[k] == elements[k] for k in elements)
-
-
-@pytest.mark.parametrize("r", (5, 7))
-def test_batched_graph_closures_match_one_at_a_time_search(r, monkeypatch):
-    calls = []
-    batched = finite_image._graph_closure
-
-    def spy(*args, **kwargs):
-        out = batched(*args, **kwargs)
-        calls.append((args, kwargs, out))
-        return out
-
-    monkeypatch.setattr(finite_image, "_graph_closure", spy)
-    mod_r_graph_report(r)
-    linear_lift_report(r)
-    assert [args[2] for args, _, _ in calls] == [True, False]  # projective, linear
-    for args, kwargs, (elements, complete) in calls:
-        want, want_complete = reference_graph_closure(*args, **kwargs)
-        assert complete == want_complete
-        assert list(elements) == list(want)
-        assert all(elements[k][1] == want[k][1] for k in want)
-
-
-def test_graph_closure_stops_after_the_push_past_the_bound():
-    r = 5
-    rho_s, rho_t = rho_genus1(r)
-    pairs = [((0, r - 1, 1, 0), canonicalize(rho_s).mat), ((1, 1, 0, 1), canonicalize(rho_t).mat)]
-    ident = CycMatrix.identity(rho_s.field, rho_s.rows)
-    for bound in (1, 2, 7, 50, 119, 120):
-        elements, complete = finite_image._graph_closure(pairs, ident, True, r, bound)
-        want, want_complete = reference_graph_closure(pairs, ident, True, r, bound)
-        assert (complete, list(elements)) == (want_complete, list(want))
-        assert len(elements) == (120 if complete else bound + 1)
 
 
 def test_max_order_cut_off_matches_one_at_a_time_search():
@@ -281,3 +232,70 @@ def test_weil_certificate_rejects_a_tampered_generator(monkeypatch):
 
 def test_weil_closure_order_r11():
     assert weil_closure(11).order == so3_closure(11).order == 660
+
+
+@pytest.mark.parametrize("r", [p for p in range(5, MAX_IMAGE_R + 1) if is_odd_prime(p)])
+def test_presentations_define_psl2_and_sl2(r):
+    # Coset enumeration gives the index of <x> in G = <x, y | relators>, and
+    # x^r = 1 bounds |<x>| by r, so |G| <= index * r.  (t, s) satisfies
+    # every relator, up to -I for PSL2, so x -> t, y -> s maps G onto
+    # SL2(F_r), or PSL2(F_r); with r prime and t != I, |<x>| = r, and the
+    # bound equals the order of the image: G is that group.
+    free, x, y = free_group("x, y")
+    letters = {"x": x, "y": y}
+    sl2 = {"x": (1, 1, 0, 1), "y": (0, r - 1, 1, 0)}
+    ident, minus = (1, 0, 0, 1), (r - 1, 0, 0, r - 1)
+    for relators, index, trivial in (
+        (psl2_relators(r), (r * r - 1) // 2, {ident, minus}),
+        (sl2_relators(r), r * r - 1, {ident}),
+    ):
+        words = []
+        for word in relators:
+            w, g = free.identity, ident
+            for letter, e in word:
+                w = w * letters[letter] ** e
+                base = sl2[letter] if e > 0 else sl2_inv(sl2[letter], r)
+                for _ in range(abs(e)):
+                    g = sl2_mul(g, base, r)
+            assert g in trivial, word
+            words.append(w)
+        # bounded, so a presentation of an infinite group fails fast
+        table = coset_enumeration_r(FpGroup(free, words), [x], max_cosets=20 * index)
+        table.compress()
+        assert len(table.table) == index
+
+
+@pytest.mark.parametrize("r", (5, 7, 11, 13))
+def test_graph_certificate_rejects_a_tampered_generator(r, monkeypatch):
+    rho_s, rho_t = rho_genus1(r)
+    for tampered in ((rho_s, rho_t @ rho_t), (rho_t, rho_s)):  # t -> t^2; s, t swapped
+        monkeypatch.setattr(finite_image, "rho_genus1", lambda r: tampered)
+        assert mod_r_graph_report(r) == {
+            "pair_closure_order": None,
+            "is_homomorphism": False,
+            "kernel_size": None,
+            "kernel_is_center": False,
+        }
+
+
+@pytest.mark.parametrize("r", (5, 7, 11, 13))
+def test_linear_lift_rejects_a_tampered_scalar(r, monkeypatch):
+    lift = finite_image._lift_scalars
+    zeta_r = rho_genus1(r)[0].field.zeta_power(4)
+
+    def tampered(*args):
+        lam_s, lam_t = lift(*args)
+        return lam_s, lam_t * zeta_r
+
+    monkeypatch.setattr(finite_image, "_lift_scalars", tampered)
+    assert not linear_lift_report(r)["is_linear_representation"]
+
+
+def test_relator_check_evaluates_each_power():
+    rho_s, rho_t = rho_genus1(7)
+    check = lambda relators: finite_image._relators_hold(
+        relators, rho_t, rho_s, CycMatrix.is_scalar
+    )
+    assert check(((("x", 7),), (("y", 2),), (("x", 3), ("y", 1), ("y", -1), ("x", -3))))
+    assert not check(((("x", 5),), (("y", 2),)))
+    assert not check(((("x", 7),), (("y", 2),), (("x", 1), ("y", -1))))
