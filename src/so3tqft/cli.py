@@ -13,18 +13,9 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 
-from . import __version__
-from .cyclo import CycNumber, get_field, is_odd_prime
-from .modular_data import (
-    build_modular_data,
-    central_charge_order,
-    dehn_twist_spectrum,
-    rho_genus1,
-)
-from .weil import build_weil, verify_odd_block_identification
+from . import __version__, _lazy_getattr
 from .fusion_dims import (
     SurfaceSpec,
     dim_space,
@@ -32,28 +23,48 @@ from .fusion_dims import (
     twist_multiplicities,
     verlinde_dim,
 )
-from .finite_image import (
-    identify_group,
-    so3_closure,
-    weil_closure,
-    weil_image_equality,
-)
-from .sl2_char import (
-    SUPPORTED_RANGE,
-    borel_check,
-    chi_beta_report,
-    regular_congruence_check,
-    sl2_table,
-    tensor_decompose,
-)
-from .mfld3 import (
-    MAX_SURVEY_LEN,
-    ChainSurgery,
-    heegaard_tau,
-    lens_routes_agree,
-    norm_survey,
-    signature,
-    tau,
+from .levels import _require_level
+
+# Each handler imports the modules it runs inside its own body, so a process
+# loads only what its subcommand needs (`dims` and `--version` never load
+# numpy), and a handler reads each function at call time.  The names below
+# stay readable as `so3tqft.cli.<name>`, resolved on access.
+__getattr__ = _lazy_getattr(
+    __name__,
+    {
+        "cyclo": ("CycNumber", "get_field"),
+        "levels": ("is_odd_prime",),
+        "modular_data": (
+            "build_modular_data",
+            "central_charge_order",
+            "dehn_twist_spectrum",
+            "rho_genus1",
+        ),
+        "weil": ("build_weil", "verify_odd_block_identification"),
+        "finite_image": (
+            "identify_group",
+            "so3_closure",
+            "weil_closure",
+            "weil_image_equality",
+        ),
+        "sl2_char": (
+            "SUPPORTED_RANGE",
+            "borel_check",
+            "chi_beta_report",
+            "regular_congruence_check",
+            "sl2_table",
+            "tensor_decompose",
+        ),
+        "mfld3": (
+            "MAX_SURVEY_LEN",
+            "ChainSurgery",
+            "heegaard_tau",
+            "lens_routes_agree",
+            "norm_survey",
+            "signature",
+            "tau",
+        ),
+    },
 )
 
 EXIT_OK = 0
@@ -61,7 +72,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-MAX_CHARTAB_R = SUPPORTED_RANGE[1]
 MAX_IMAGE_R = 13
 MAX_DIMS_GENUS = 12
 
@@ -74,7 +84,7 @@ def _complex_pair(z):
     return [z.real, z.imag]
 
 
-def _cyc_json(x: CycNumber):
+def _cyc_json(x):
     return x.to_json()
 
 
@@ -143,6 +153,8 @@ def _to_csv(report):
 
 
 def _cmd_modular_data(args):
+    from .modular_data import build_modular_data, central_charge_order, dehn_twist_spectrum
+
     r = args.r
     md = build_modular_data(r)
     spectrum = dehn_twist_spectrum(r)
@@ -176,6 +188,8 @@ def _cmd_modular_data(args):
 
 
 def _cmd_weil(args):
+    from .weil import build_weil, verify_odd_block_identification
+
     r = args.r
     build_weil(r)  # construction includes the intertwiner relation checks
     report = {
@@ -235,6 +249,8 @@ def _cmd_image(args):
     r = args.r
     if r > MAX_IMAGE_R:
         raise CapacityError(f"image enumeration capped at r <= {MAX_IMAGE_R}")
+    from .finite_image import identify_group, so3_closure, weil_closure
+
     gc = so3_closure(r, args.max_order) if args.generators == "so3" else weil_closure(
         r, args.max_order
     )
@@ -269,6 +285,8 @@ def _cmd_image(args):
 def _ltwo_all_pairs(r):
     """Every tensor product of two nontrivial irreducibles of SL2(F_r) has a
     constituent of degree > (r-1)/2."""
+    from .sl2_char import sl2_table, tensor_decompose
+
     tbl = sl2_table(r)
     half = (r - 1) // 2
     triv = tbl.trivial_index()
@@ -284,9 +302,17 @@ def _ltwo_all_pairs(r):
 
 
 def _cmd_chartab(args):
+    from .sl2_char import (
+        SUPPORTED_RANGE,
+        borel_check,
+        chi_beta_report,
+        regular_congruence_check,
+        sl2_table,
+    )
+
     r = args.r
-    if r > MAX_CHARTAB_R:
-        raise CapacityError(f"character tables capped at r <= {MAX_CHARTAB_R}")
+    if r > SUPPORTED_RANGE[1]:
+        raise CapacityError(f"character tables capped at r <= {SUPPORTED_RANGE[1]}")
     tbl = sl2_table(r)
     k = tbl.num_classes()
     report = {
@@ -335,6 +361,16 @@ def _cmd_chartab(args):
 
 
 def _cmd_tau(args):
+    from .mfld3 import (
+        MAX_SURVEY_LEN,
+        ChainSurgery,
+        heegaard_tau,
+        norm_survey,
+        signature,
+        tau,
+    )
+    from .modular_data import build_modular_data, central_charge_order
+
     r = args.r
     md = build_modular_data(r)
     framings = (
@@ -368,6 +404,10 @@ def _cmd_tau(args):
 
 
 def _field_axiom_spot_check(r, seed, cases=100):
+    import random
+
+    from .cyclo import CycNumber, get_field
+
     rng = random.Random(seed)
     f = get_field(4 * r)
     deg = f.degree
@@ -388,6 +428,10 @@ def _field_axiom_spot_check(r, seed, cases=100):
 
 
 def _cmd_verify_all(args):
+    from .mfld3 import lens_routes_agree
+    from .modular_data import build_modular_data, rho_genus1
+    from .weil import verify_odd_block_identification
+
     r = args.r
     checks = []
 
@@ -435,6 +479,8 @@ def _cmd_verify_all(args):
     check("lens-two-route", lens_oracle)
 
     if r <= MAX_IMAGE_R:
+        from .finite_image import so3_closure, weil_image_equality
+
         def image_check():
             gc = so3_closure(r)
             full = r * (r * r - 1)
@@ -443,7 +489,9 @@ def _cmd_verify_all(args):
         check("image-enumeration", image_check)
         check("weil-image-equality", lambda: weil_image_equality(r))
 
-    if r <= MAX_CHARTAB_R:
+    from .sl2_char import SUPPORTED_RANGE, sl2_table
+
+    if r <= SUPPORTED_RANGE[1]:
         check("chartab-orthogonality", lambda: sl2_table(r) is not None)
         check("ltwo-exhaustive", lambda: _ltwo_all_pairs(r))
 
@@ -525,10 +573,8 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not (is_odd_prime(args.r) and args.r >= 5):
-        print("error: r must be an odd prime >= 5", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        _require_level(args.r)
         code, report = args.fn(args)
     except CapacityError as err:
         print(

@@ -34,6 +34,8 @@ from math import gcd
 
 import numpy as np
 
+from .levels import is_odd_prime, is_prime
+
 __all__ = [
     "CycField",
     "CycNumber",
@@ -45,36 +47,6 @@ __all__ = [
     "is_prime",
     "is_odd_prime",
 ]
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed bases 2..37, which is deterministic for
-    n < 3.18 * 10^23."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    s, t = 0, n - 1
-    while t % 2 == 0:
-        s, t = s + 1, t // 2
-    for a in _MR_BASES:
-        x = pow(a, t, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def is_odd_prime(r: int) -> bool:
-    return r % 2 == 1 and is_prime(r)
 
 
 def _split_primes(n: int):

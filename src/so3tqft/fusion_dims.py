@@ -6,9 +6,10 @@ Labels at level r are the even integers {0, 2, ..., r-3}.  A triple admits an
 invariant vector iff it satisfies the triangle inequality and a + b + c <=
 2(r-2); dimensions of arbitrary (genus, boundary) surfaces are assembled from
 these 0/1 coefficients by cutting the surface into pants along a canonical
-linear chain of handles.  Dimensions are exact Python integers throughout;
-the Verlinde power sum is evaluated exactly in Q(zeta_r), and its float
-value is kept only as a diagnostic.
+linear chain of handles.  Dimensions are exact Python integers throughout:
+the Verlinde power sum comes from Newton's identities on an integer
+polynomial whose roots are its terms, and its float value is kept only as a
+diagnostic.  Nothing here needs a cyclotomic field or numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, pi, sin
 
-from .cyclo import get_field
-from .modular_data import _require_level, so3_labels
+from .levels import _require_level, so3_labels
 
 __all__ = [
     "SurfaceSpec",
@@ -138,22 +138,41 @@ def dim_space(spec: SurfaceSpec) -> int:
     return chain[index[hs[0]]][index[hs[-1]]]
 
 
-@lru_cache(maxsize=32)
-def _verlinde_alpha(r: int):
-    """alpha_1 = r / (2 - z^2 - z^-2) in Q(zeta_r); its images under the
-    automorphisms z -> z^j are alpha_j = r csc^2(2 pi j / r) / 4."""
-    f = get_field(r)
-    return f.from_int(r) / (2 - f.zeta_power(2) - f.zeta_power(-2))
+def _verlinde_polynomial(r: int):
+    """Coefficients, highest degree first, of H(a) = a^n F(2 - r/a), n = (r-1)/2.
+
+    F(y) = 1 + S_1(y) + ... + S_n(y), with S_0 = 2, S_1 = y and
+    S_(k+1) = y S_k - S_(k-1), so F(2 cos t) = sin(rt/2) / sin(t/2) has the
+    roots y_k = 2 cos(2 pi k / r), k = 1..n, and H has the roots
+    r / (2 - y_k).  H is integral with leading coefficient F(2) = r."""
+    n = (r - 1) // 2
+    f = [1] + [0] * n  # ascending in y
+    s_prev, s_cur = [2], [0, 1]
+    for _ in range(n):
+        for i, c in enumerate(s_cur):
+            f[i] += c
+        s_prev, s_cur = s_cur, [
+            (s_cur[i - 1] if i else 0) - (s_prev[i] if i < len(s_prev) else 0)
+            for i in range(len(s_cur) + 1)
+        ]
+    # y^i a^n = (2a - r)^i a^(n-i): its a^(n-i+j) coefficient is C(i,j) 2^j (-r)^(i-j)
+    h = [0] * (n + 1)  # ascending in a
+    for i, c in enumerate(f):
+        for j in range(i + 1):
+            h[n - i + j] += c * comb(i, j) * 2**j * (-r) ** (i - j)
+    return h[::-1]
 
 
 def verlinde_dim(r: int, g: int):
-    """Closed-surface dimension as the power sum over alpha_j =
+    """Closed-surface dimension as the power sum p_(g-1) over alpha_j =
     r csc^2(2 pi j / r) / 4, j = 1..(r-1)/2.  Returns (float value, exact
     integer); the float is a diagnostic only.
 
-    The exact sum is half the trace from Q(zeta_r) to Q of x = alpha_1^(g-1),
-    since alpha_j = alpha_(r-j) runs over the conjugates twice, and
-    Tr(x) = r x_0 - (x_0 + ... + x_(r-2)) in the power basis."""
+    The alpha_j = r / (2 - 2 cos(2 pi k / r)), k = 1..(r-1)/2, are the roots
+    of the integer polynomial H of `_verlinde_polynomial`, so Newton's
+    identities give every power sum from H's coefficients e_0 = r, e_1, ...:
+    e_0 p_m = -(e_1 p_(m-1) + ... + e_(m-1) p_1 + m e_m), with e_k = 0 past
+    the degree.  Each division by r must be exact."""
     _require_level(r)
     if g < 1:
         raise ValueError("the power-sum formula needs genus >= 1")
@@ -161,11 +180,17 @@ def verlinde_dim(r: int, g: int):
     for j in range(1, (r - 1) // 2 + 1):
         alpha = r / (4.0 * sin(2.0 * pi * j / r) ** 2)
         total += alpha ** (g - 1)
-    x = _verlinde_alpha(r) ** (g - 1)
-    exact, rem = divmod(r * x.num[0] - sum(x.num), 2 * x.den)
-    if rem:
-        raise ArithmeticError(f"Verlinde sum at r={r}, g={g} is not an integer")
-    return total, exact
+    e = _verlinde_polynomial(r)
+    n = len(e) - 1
+    p = [n]  # p_0
+    for m in range(1, g):
+        acc = m * e[m] if m <= n else 0
+        acc += sum(e[k] * p[m - k] for k in range(1, min(m, n + 1)))
+        q, rem = divmod(-acc, e[0])
+        if rem:
+            raise ArithmeticError(f"Verlinde sum at r={r}, g={g} is not an integer")
+        p.append(q)
+    return total, p[g - 1]
 
 
 def twist_multiplicities(r: int):

@@ -167,11 +167,18 @@ def kappa(md: ModularData) -> CycNumber:
     return md.p_minus * md.global_dim_inv
 
 
+def _kappa_power(md: ModularData, sigma: int) -> CycNumber:
+    """kappa^sigma.  kappa is a root of unity, so a negative power is a
+    power of its conjugate and needs no inversion."""
+    k = kappa(md)
+    return k ** sigma if sigma >= 0 else k.conj() ** -sigma
+
+
 def tau(md: ModularData, chain: ChainSurgery) -> InvariantValue:
     """(1/D) <chain> (p_minus/D)^sigma, all factors exact."""
     bracket = omega_chain_bracket(md, chain)
     sigma = signature(chain.linking_matrix())
-    value = md.global_dim_inv * bracket * kappa(md) ** sigma
+    value = md.global_dim_inv * bracket * _kappa_power(md, sigma)
     return InvariantValue.of(value)
 
 
@@ -183,7 +190,7 @@ def tau_union(md: ModularData, chains) -> InvariantValue:
     for c in chains:
         bracket = bracket * omega_chain_bracket(md, c)
         sigma += signature(c.linking_matrix())
-    value = md.global_dim_inv * bracket * kappa(md) ** sigma
+    value = md.global_dim_inv * bracket * _kappa_power(md, sigma)
     return InvariantValue.of(value)
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import CycField, CycNumber, get_field, is_odd_prime, sqrt_r
+from .cyclo import CycField, CycNumber, get_field, sqrt_r
 from .cycmatrix import CycMatrix
+from .levels import _require_level, so3_labels
 
 __all__ = [
     "ModularData",
@@ -30,15 +31,6 @@ __all__ = [
 ]
 
 
-def _require_level(r: int):
-    if not (is_odd_prime(r) and r >= 5):
-        raise ValueError("r must be an odd prime >= 5")
-
-
-def so3_labels(r: int):
-    return list(range(0, r - 2, 2))
-
-
 def a_root(r: int) -> CycNumber:
     """The root of unity A = zeta_{4r}^{r+1}."""
     _require_level(r)
@@ -51,11 +43,15 @@ def a_power(field: CycField, r: int, e: int) -> CycNumber:
 
 def quantum_integer(k: int, r: int) -> CycNumber:
     """[k] = (A^2k - A^-2k)/(A^2 - A^-2), evaluated division-free as the
-    geometric sum A^{2(k-1)} + A^{2(k-3)} + ... + A^{-2(k-1)}."""
+    geometric sum A^{2(k-1)} + A^{2(k-3)} + ... + A^{-2(k-1)}.
+
+    A^2 has order r, so [k + r] = [k] and [r - k] = -[k]: k is reduced to
+    0 <= k <= (r-1)/2 first, and the sum has at most (r-1)/2 terms."""
     _require_level(r)
+    k %= r
+    if k > r // 2:
+        return -quantum_integer(r - k, r)
     f = get_field(4 * r)
-    if k < 0:
-        return -quantum_integer(-k, r)
     acc = f.zero
     for m in range(k):
         acc = acc + a_power(f, r, 2 * (k - 1 - 2 * m))

@@ -30,8 +30,9 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .cyclo import CycField, CycNumber, get_field, is_odd_prime, is_prime, work_dtype
+from .cyclo import CycField, CycNumber, get_field, work_dtype
 from .cycmatrix import CycMatrix, _product
+from .levels import is_odd_prime, is_prime
 
 __all__ = [
     "FiniteGroup",

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclo import get_field, is_odd_prime
+from .cyclo import get_field
 from .cycmatrix import CycMatrix
+from .levels import _require_level
 from .modular_data import build_modular_data, rho_genus1
 
 __all__ = [
@@ -100,8 +101,7 @@ class HeisenbergPresentation:
 
 @lru_cache(maxsize=None)
 def heisenberg_presentation(r: int) -> HeisenbergPresentation:
-    if not (is_odd_prime(r) and r >= 5):
-        raise ValueError("r must be an odd prime >= 5")
+    _require_level(r)
     f = get_field(4 * r)
 
     def e(k):

@@ -145,7 +145,7 @@ def test_output_is_byte_identical_across_runs(argv):
 
 
 _THREADS = (
-    "import os, so3tqft; "
+    "import os, so3tqft, so3tqft.cycmatrix; "
     "print(os.environ['OPENBLAS_NUM_THREADS']); "
     "print([l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')][0])"
 )
@@ -170,6 +170,51 @@ def test_import_sets_one_blas_thread_unless_preset():
 
     assert run() == ["1", "1"]
     assert run(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+_COLD = """
+import sys
+from so3tqft.cli import main
+
+assert main(["dims", "--r", "13", "--genus", "12", "--verlinde-check", "--json"]) == 0
+try:
+    main(["--version"])
+except SystemExit as exit:
+    assert exit.code == 0
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)
+"""
+
+
+_IMAGE = """
+import sys
+from so3tqft.cli import main
+
+assert main(["image", "--r", "5", "--json"]) == 0
+assert not {"so3tqft.sl2_char", "so3tqft.mfld3"} & set(sys.modules)
+"""
+
+
+def _fresh_python(code):
+    src = str(Path(so3tqft.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_dims_and_version_never_import_numpy():
+    out = _fresh_python(_COLD)
+    assert json.loads(out[0])["verlinde_agrees"] is True
+    assert out[1] == so3tqft.__version__
+
+
+def test_image_imports_only_what_it_runs():
+    assert json.loads(_fresh_python(_IMAGE)[0])["order"] == 60
 
 
 def test_image_not_finite_within_bound(capsys):

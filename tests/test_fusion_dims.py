@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from so3tqft.cyclo import get_field
 from so3tqft.fusion_dims import (
     SurfaceSpec,
     dim_space,
@@ -107,6 +108,28 @@ def test_verlinde_is_exact_past_double_precision():
     for g in range(9, 13):
         assert verlinde_dim(13, g)[1] == dim_space(SurfaceSpec(13, g))
     assert verlinde_dim(31, 6)[1] == 249182977056820
+
+
+def _verlinde_traces(r, genera):
+    """The power sums p_(g-1) as half the trace from Q(zeta_r) to Q of
+    alpha_1^(g-1), alpha_1 = r / (2 - z^2 - z^-2): alpha_j = alpha_(r-j) runs
+    over the conjugates twice, and Tr(x) = r x_0 - (x_0 + ... + x_(r-2))."""
+    f = get_field(r)
+    alpha = f.from_int(r) / (2 - f.zeta_power(2) - f.zeta_power(-2))
+    x = f.one
+    out = []
+    for _ in range(genera):
+        exact, rem = divmod(r * x.num[0] - sum(x.num), 2 * x.den)
+        assert rem == 0
+        out.append(exact)
+        x = x * alpha
+    return out
+
+
+def test_verlinde_matches_cyclotomic_trace():
+    for r in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        oracle = _verlinde_traces(r, 30)
+        assert [verlinde_dim(r, g)[1] for g in range(1, 31)] == oracle, r
 
 
 def test_twist_multiplicities():

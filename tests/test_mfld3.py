@@ -193,11 +193,26 @@ def test_rp3_regression():
 
 
 def test_kappa_is_unit_modulus():
-    for r in PRIMES:
+    # kappa * conj(kappa) == 1 is what lets tau take kappa^-n as conj(kappa)^n
+    for r in (5, 7, 11, 13, 17, 19):
         md = build_modular_data(r)
         k = kappa(md)
         assert abs(abs(k.embed()) - 1) < 1e-12
         assert (k * k.conj()) == md.field.one
+
+
+def test_tau_with_negative_signature_matches_inverse_power():
+    for r in (5, 7, 11):
+        md = build_modular_data(r)
+        for framings in ((-2,), (-1, -3), (-2, -2, -2), (-5, 1, -4)):
+            chain = ChainSurgery(framings)
+            sigma = signature(chain.linking_matrix())
+            assert sigma < 0
+            bracket = omega_chain_bracket(md, chain)
+            expected = md.global_dim_inv * bracket * kappa(md).inv() ** -sigma
+            assert tau(md, chain).value == expected
+            doubled = md.global_dim_inv * bracket * bracket * kappa(md).inv() ** (-2 * sigma)
+            assert tau_union(md, [chain, chain]).value == doubled
 
 
 def test_norm_survey():

@@ -56,6 +56,18 @@ def test_quantum_integer_ratio_identity():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("r", [5, 7, 13, 19])
+def test_quantum_integer_by_residue_matches_geometric_sum(r):
+    # the unreduced sum A^{2(k-1)} + A^{2(k-3)} + ... + A^{-2(k-1)} of |k| terms
+    f = get_field(4 * r)
+    for k in range(-3 * r, 3 * r + 1):
+        n = abs(k)
+        total = f.zero
+        for m in range(n):
+            total = total + f.zeta_power(2 * (r + 1) * (n - 1 - 2 * m))
+        assert quantum_integer(k, r) == (total if k >= 0 else -total), k
+
+
 def test_global_dim():
     md = build_modular_data(7)
     want = math.sqrt(7) / (2 * math.sin(math.pi / 7))
