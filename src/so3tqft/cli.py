@@ -23,7 +23,7 @@ from .fusion_dims import (
     twist_multiplicities,
     verlinde_dim,
 )
-from .levels import _require_level
+from .levels import SUPPORTED_RANGE, _require_level
 
 # Each handler imports the modules it runs inside its own body, so a process
 # loads only what its subcommand needs (`dims` and `--version` never load
@@ -48,7 +48,6 @@ __getattr__ = _lazy_getattr(
             "weil_image_equality",
         ),
         "sl2_char": (
-            "SUPPORTED_RANGE",
             "borel_check",
             "chi_beta_report",
             "regular_congruence_check",
@@ -72,7 +71,12 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-MAX_IMAGE_R = 13
+# image identifies the group from certificates; the largest prime at which
+# both generator sets finish a cold `image --json` in under 3 s (see README)
+MAX_IMAGE_R = 47
+# the enumeration checks of verify-all, a breadth-first search over all of
+# PSL2(F_r): 1092 elements at r = 13
+MAX_ENUMERATION_R = 13
 MAX_DIMS_GENUS = 12
 
 
@@ -248,62 +252,51 @@ def _cmd_dims(args):
 def _cmd_image(args):
     r = args.r
     if r > MAX_IMAGE_R:
-        raise CapacityError(f"image enumeration capped at r <= {MAX_IMAGE_R}")
-    from .finite_image import identify_group, so3_closure, weil_closure
+        raise CapacityError(f"image capped at r <= {MAX_IMAGE_R}")
+    from .finite_image import identify_group, weil_image_equality
 
-    gc = so3_closure(r, args.max_order) if args.generators == "so3" else weil_closure(
-        r, args.max_order
-    )
-    if not gc.complete:
-        return EXIT_VERIFY_FAIL, {
-            "schema": "1",
-            "inputs": {"subcommand": "image", "r": r, "generators": args.generators},
-            "complete": False,
-            "order_reached": gc.order,
-            "note": "not finite within bound",
-        }
-    report = identify_group(gc, r)
-    report = {
-        "schema": "1",
-        "inputs": {
-            "subcommand": "image",
-            "r": r,
-            "generators": args.generators,
-            "max_order": args.max_order,
-        },
-        "order": report["order"],
-        "matches": report["matches"],
-        "generator_orders": report["generator_orders"],
-        "relations": report["relations"],
-        "mod_r_graph": report["mod_r_graph"],
-        "linear_lift": report["linear_lift"],
-        "r_mod_4": report["r_mod_4"],
-    }
-    return EXIT_OK, report
+    inputs = {"subcommand": "image", "r": r, "generators": args.generators}
+    if args.generators == "weil":
+        try:
+            same = weil_image_equality(r)
+        except ArithmeticError:  # the odd-block identification failed
+            same = False
+        if not same:
+            return EXIT_VERIFY_FAIL, {
+                "schema": "1",
+                "inputs": inputs,
+                "weil_image_equality": False,
+            }
+    found = identify_group(r)
+    report = {"schema": "1", "inputs": inputs}
+    for key in (
+        "order",
+        "matches",
+        "generator_orders",
+        "relations",
+        "mod_r_graph",
+        "linear_lift",
+        "r_mod_4",
+    ):
+        report[key] = found[key]
+    return (EXIT_OK if found["matches"] == "PSL2" else EXIT_VERIFY_FAIL), report
 
 
 def _ltwo_all_pairs(r):
     """Every tensor product of two nontrivial irreducibles of SL2(F_r) has a
-    constituent of degree > (r-1)/2."""
-    from .sl2_char import sl2_table, tensor_decompose
+    constituent of degree > (r-1)/2: one expression over the certified
+    multiplicity array M[a, b, c] of the table."""
+    from .sl2_char import sl2_table
 
     tbl = sl2_table(r)
-    half = (r - 1) // 2
-    triv = tbl.trivial_index()
-    k = tbl.num_classes()
-    for a in range(k):
-        for b in range(a, k):
-            if triv in (a, b):
-                continue
-            mults = tensor_decompose(tbl, a, b)
-            if not any(m and tbl.degrees[c] > half for c, m in enumerate(mults)):
-                return False
-    return True
+    nontrivial = [a for a in range(tbl.num_classes()) if a != tbl.trivial_index()]
+    big = [c for c, deg in enumerate(tbl.degrees) if deg > (r - 1) // 2]
+    mults = tbl.tensor_mults[nontrivial][:, nontrivial][:, :, big]
+    return bool((mults > 0).any(axis=2).all())
 
 
 def _cmd_chartab(args):
     from .sl2_char import (
-        SUPPORTED_RANGE,
         borel_check,
         chi_beta_report,
         regular_congruence_check,
@@ -478,7 +471,7 @@ def _cmd_verify_all(args):
 
     check("lens-two-route", lens_oracle)
 
-    if r <= MAX_IMAGE_R:
+    if r <= MAX_ENUMERATION_R:
         from .finite_image import so3_closure, weil_image_equality
 
         def image_check():
@@ -489,9 +482,9 @@ def _cmd_verify_all(args):
         check("image-enumeration", image_check)
         check("weil-image-equality", lambda: weil_image_equality(r))
 
-    from .sl2_char import SUPPORTED_RANGE, sl2_table
-
     if r <= SUPPORTED_RANGE[1]:
+        from .sl2_char import sl2_table
+
         check("chartab-orthogonality", lambda: sl2_table(r) is not None)
         check("ltwo-exhaustive", lambda: _ltwo_all_pairs(r))
 
@@ -544,10 +537,9 @@ def build_parser():
     p.add_argument("--verlinde-check", action="store_true")
     p.set_defaults(fn=_cmd_dims)
 
-    p = sub.add_parser("image", help="projective image enumeration and identification")
+    p = sub.add_parser("image", help="projective image identification by certificates")
     add_common(p)
     p.add_argument("--generators", choices=("so3", "weil"), default="so3")
-    p.add_argument("--max-order", type=int, default=10**7)
     p.set_defaults(fn=_cmd_image)
 
     p = sub.add_parser("chartab", help="character table of SL2(F_r)")

@@ -312,10 +312,12 @@ class CycMatrix:
         )
 
     def is_scalar(self):
-        """Off-diagonal entries exactly zero and diagonal entries exactly equal."""
+        """Off-diagonal entries exactly zero and diagonal entries exactly equal
+        (on the canonical array, so no entry is built)."""
         if self.rows != self.cols or self.rows == 0:
             return False
-        return self == CycMatrix.diagonal(self.field, [self[0, 0]] * self.rows)
+        diag = self.arr[range(self.rows), range(self.rows)]
+        return self.is_diagonal() and bool((diag == diag[0]).all())
 
     def scalar_value(self):
         if not self.is_scalar():

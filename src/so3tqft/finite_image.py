@@ -1,27 +1,35 @@
-"""Enumeration of the projective image of the genus-1 representation.
+"""The projective image of the genus-1 representation: identified by
+certificates, and enumerated as an independent check.
 
-Matrices are canonicalized by dividing out the first nonzero entry in
-row-major order, which gives a unique exact representative per projective
-class; the closure is then a breadth-first search under left multiplication
-by the generators, hashing canonical coefficient data.  The search is
-deterministic: frontier order, generator order and shortest words are all
-reproducible.  It runs by blocks: a block of frontier elements is multiplied
-by all distinct generator matrices in one kernel call, and the products are
-canonicalized, gcd-normalized and keyed as one stack, with one inversion per
-distinct pivot; new elements are then taken in the order the
+identify_group(r) pins the group down without enumerating it.  The relators
+of Sunday's presentation of PSL2(F_r) are scalar at (rho(t), rho(s)), so
+s -> rho(s), t -> rho(t) induces a homomorphism out of PSL2(F_r); that group
+is simple for r >= 5 and rho(s) is not scalar, so the projective image is
+PSL2(F_r), of order r(r^2-1)/2.  The unique scalar normalization making the
+pair an honest linear representation is certified by the relators of the
+presentation of SL2(F_r), and its image distinguishes r = 1 from r = 3
+mod 4.  The projective order d of each generator word is its order in
+PSL2(F_r), found by integer arithmetic mod r, and certified exactly: the
+word's matrix to the d is scalar, and to d/q is not for any prime q | d.
+The words are evaluated letter by letter; a diagonal letter (rho(t) and its
+lift) is kept as the exponents of its roots of unity, so its powers are read
+off the field's power table and a product by it scales columns, and only the
+dense letter rho(s) costs full matrix products.
+
+The enumeration canonicalizes matrices by dividing out the first nonzero
+entry in row-major order, which gives a unique exact representative per
+projective class; the closure is then a breadth-first search under left
+multiplication by the generators, hashing canonical coefficient data.  The
+search is deterministic: frontier order, generator order and shortest words
+are all reproducible.  It runs by blocks: a block of frontier elements is
+multiplied by all distinct generator matrices in one kernel call, and the
+products are canonicalized, gcd-normalized and keyed as one stack, with one
+inversion per distinct pivot; new elements are then taken in the order the
 one-at-a-time search would find them, so orders, words and cut-offs are
 unchanged.  The odd Weil generators are not searched again: once the
 odd-block identification holds, their canonical forms equal those of the
-genus-1 generators, and weil_closure checks that and returns so3_closure.
-
-Besides the raw closure, identify_group pins the group down: it compares the
-order against |SL2(F_r)| = r(r^2-1) and |PSL2(F_r)| = r(r^2-1)/2, computes
-projective generator orders, checks the SL2(Z) relations, certifies that
-s -> rho(s), t -> rho(t) defines a homomorphism out of SL2(F_r) by checking
-the relators of Sunday's presentation of PSL2(F_r) up to scalars, and solves
-for the unique scalar normalization making the pair an honest linear
-representation, certified by the relators of the presentation of SL2(F_r)
-(its image distinguishes r = 1 from r = 3 mod 4).
+genus-1 generators, and weil_closure checks that and returns the genus-1
+closure.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import numpy as np
 
 from .cyclo import CycNumber
 from .cycmatrix import CycMatrix, _mul_matrix, _mul_product, _normalize, _stack_keys
+from .levels import sl2_mul
 from .modular_data import rho_genus1
 from .weil import build_weil, verify_odd_block_identification
 
@@ -80,7 +89,7 @@ class ProjMatrix:
 
 @lru_cache(maxsize=1024)
 def _scalar_inverse(c: CycNumber) -> CycNumber:
-    # bounded: `image` at its cap r = 13 inverts 205 distinct pivots
+    # bounded: the enumeration at its cap r = 13 inverts 205 distinct pivots
     return c.inv()
 
 
@@ -255,9 +264,15 @@ _CLOSURE_CACHE = 8
 
 
 @lru_cache(maxsize=_CLOSURE_CACHE)
-def so3_closure(r: int, max_order: int = 10**7) -> GroupClosure:
+def _genus1_closure(r: int, max_order: int) -> GroupClosure:
     names, gens = so3_generators(r)
     return closure(gens, max_order=max_order, names=names)
+
+
+def so3_closure(r: int, max_order: int = 10**7) -> GroupClosure:
+    """Closure of the genus-1 generators, kept in one cache entry per
+    (r, max_order) however the bound is passed."""
+    return _genus1_closure(r, max_order)
 
 
 def weil_image_equality(r: int) -> bool:
@@ -271,21 +286,22 @@ def weil_image_equality(r: int) -> bool:
     return keys(weil_generators(r)[1]) == keys(so3_generators(r)[1])
 
 
-@lru_cache(maxsize=_CLOSURE_CACHE)
 def weil_closure(r: int, max_order: int = 10**7) -> GroupClosure:
     """Closure of the odd Weil generators, certified by weil_image_equality
-    to be the closure of the genus-1 generators."""
+    to be the closure of the genus-1 generators: the same cache entry."""
     if not weil_image_equality(r):
         raise ArithmeticError("canonical Weil generators differ from the genus-1 ones")
-    return so3_closure(r, max_order)
+    return _genus1_closure(r, max_order)
 
 
 def projective_order(m: CycMatrix, bound: int = 10**5) -> int:
-    """Order of the projective class of m: the order of its cyclic closure."""
-    gc = closure([m], max_order=bound)
-    if not gc.complete:
-        raise ArithmeticError("projective order exceeds bound")
-    return gc.order
+    """Order of the projective class of m: the least k with m^k scalar."""
+    p = m
+    for k in range(1, bound + 1):
+        if p.is_scalar():
+            return k
+        p = p @ m
+    raise ArithmeticError("projective order exceeds bound")
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +334,82 @@ def sl2_relators(r: int) -> tuple:
     )
 
 
+def _root_exponents(m: CycMatrix):
+    """The exponents k_j with m = diag(zeta_N^k_j), as an array, or None
+    when m is not a diagonal of roots of unity."""
+    if not m.is_diagonal():
+        return None
+    ks = [m.field.root_of_unity_exponent(m[j, j]) for j in range(m.rows)]
+    return None if None in ks else np.array(ks)
+
+
+def _roots_diagonal(field, ks) -> CycMatrix:
+    """diag(zeta_N^k_j), read off the field's power table."""
+    n = len(ks)
+    arr = np.zeros((n, n, field.degree), dtype=np.int64)
+    arr[range(n), range(n)] = field.pw[ks % field.n]
+    return CycMatrix._from_array(field, arr, 1)
+
+
+def _scale_columns(m: CycMatrix, ks) -> CycMatrix:
+    """m @ diag(zeta_N^k_j): column j of m times zeta_N^k_j, one batched
+    product by the multiplication matrices of the roots, whose row p is the
+    power table's row k_j + p."""
+    f = m.field
+    dmul = f.pw[(ks[:, None] + np.arange(f.degree)) % f.n]  # (n, d, d)
+    cols = _mul_product(m.arr.transpose(1, 0, 2)[:, :, None, :], dmul)
+    return CycMatrix._from_array(f, cols[:, :, 0].transpose(1, 0, 2), m.den)
+
+
+class _Letter:
+    """A matrix to be raised to powers and multiplied into words, with its
+    powers cached.  A diagonal of roots of unity (rho(t) and its lift) is
+    kept as its exponents: its powers are read off the power table and a
+    product by one scales columns, O(n^2 d^2) against the O(n^3 d^2) of a
+    dense product."""
+
+    __slots__ = ("mat", "exponents", "_powers")
+
+    def __init__(self, mat: CycMatrix):
+        self.mat = mat
+        self.exponents = _root_exponents(mat)
+        self._powers = {}
+
+    def power(self, e: int) -> CycMatrix:
+        """mat^e for e >= 0, a dense one by squaring the cached mat^(e//2)."""
+        p = self._powers.get(e)
+        if p is None:
+            m = self.mat
+            if self.exponents is not None:
+                p = _roots_diagonal(m.field, self.exponents * e)
+            elif e <= 1:
+                p = m if e else CycMatrix.identity(m.field, m.rows)
+            else:
+                h = self.power(e // 2)
+                p = h @ h if e % 2 == 0 else h @ h @ m
+            self._powers[e] = p
+        return p
+
+    def times(self, m, e: int) -> CycMatrix:
+        """m @ mat^e, or mat^e when m is None."""
+        if m is None:
+            return self.power(e)
+        if self.exponents is not None:
+            return _scale_columns(m, self.exponents * e)
+        return m @ self.power(e)
+
+
 def _relators_hold(relators, x, y, holds) -> bool:
     """Whether holds(w(x, y)) for every relator w.  A negative exponent is
     taken modulo n for the letter's power relator x^n or y^n, which is
     checked too: when every relator holds, those powers are the inverses
     (up to a scalar, when holds asks only for a scalar)."""
-    gens = {"x": x, "y": y}
+    letters = {"x": _Letter(x), "y": _Letter(y)}
     order = {w[0][0]: w[0][1] for w in relators if len(w) == 1}
     for word in relators:
-        m = CycMatrix.identity(x.field, x.rows)
+        m = None
         for letter, e in word:
-            m = m @ gens[letter].matpow(e if e >= 0 else e % order[letter])
+            m = letters[letter].times(m, e if e >= 0 else e % order[letter])
         if not holds(m):
             return False
     return True
@@ -357,14 +438,15 @@ def mod_r_graph_report(r: int) -> dict:
 
 def _lift_scalars(rho_s, rho_t, r):
     """The unique (lambda_s, lambda_t) with lambda_s^4 = lambda_t^r = 1 and
-    lambda_s lambda_t^3 mu = 1, mu the projective braid scalar."""
+    lambda_s lambda_t^3 mu = 1, mu the projective braid scalar
+    (rho(s) rho(t))^3 = mu rho(s)^2 = mu I; None when the braid is not a
+    root of unity times I, so that no such pair exists."""
     f = rho_s.field
-    braid = (rho_s @ rho_t).matpow(3)
-    assert (rho_s @ rho_s).is_identity()
-    mu = braid.scalar_value()  # (rho_s rho_t)^3 = mu * rho(s)^2 = mu * I
-    k = f.root_of_unity_exponent(mu)
+    st = _Letter(rho_t).times(rho_s, 1)  # rho(s) rho(t)
+    braid = _Letter(st).power(3)
+    k = f.root_of_unity_exponent(braid[0, 0]) if braid.is_scalar() else None
     if k is None:
-        raise ArithmeticError("braid scalar is not a root of unity")
+        return None
     # split mu = zeta_4^a zeta_r^b: k = a*r + b*4 (mod 4r) since
     # zeta_{4r}^r = zeta_4 and zeta_{4r}^4 = zeta_r
     a = (k * pow(r, -1, 4)) % 4
@@ -383,9 +465,20 @@ def linear_lift_report(r: int) -> dict:
     and read off m_s^2, the image of -I = s^2.
 
     The braid relation fixes lambda_s lambda_t^3 times the projective braid
-    scalar to be 1; with lambda_s^4 = lambda_t^r = 1 the pair is unique."""
+    scalar to be 1; with lambda_s^4 = lambda_t^r = 1 the pair is unique.
+    When there is no such pair, every field but is_linear_representation
+    (False) is None."""
     rho_s, rho_t = rho_genus1(r)
-    lam_s, lam_t = _lift_scalars(rho_s, rho_t, r)
+    lift = _lift_scalars(rho_s, rho_t, r)
+    if lift is None:
+        return {
+            "lambda_s": None,
+            "lambda_t": None,
+            "is_linear_representation": False,
+            "minus_identity_acts_nontrivially": None,
+            "linear_image": None,
+        }
+    lam_s, lam_t = lift
     m_s = rho_s.scalar_mul(lam_s)
     m_t = rho_t.scalar_mul(lam_t)
     is_rep = _relators_hold(sl2_relators(r), m_t, m_s, CycMatrix.is_identity)
@@ -399,43 +492,73 @@ def linear_lift_report(r: int) -> dict:
     }
 
 
-def identify_group(gc: GroupClosure, r: int) -> dict:
-    """Order comparison, generator orders, relation checks, and the two
-    homomorphism certificates for a closure of the genus-1 generators."""
+def _psl2_order(g, r: int) -> int:
+    """Order of the class of g in PSL2(F_r): the least k with g^k = +-I."""
+    x, k = g, 1
+    while x not in ((1, 0, 0, 1), (r - 1, 0, 0, r - 1)):
+        x, k = sl2_mul(x, g, r), k + 1
+    return k
+
+
+def _prime_divisors(n: int):
+    """The distinct primes dividing n, by trial division."""
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            yield q
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        yield n
+
+
+def _certified_order(letter: _Letter, d: int):
+    """d when the projective class of letter.mat has order exactly d, that
+    is, mat^d is scalar and mat^(d/q) is not for any prime q | d; else None."""
+    if not letter.power(d).is_scalar():
+        return None
+    if any(letter.power(d // q).is_scalar() for q in _prime_divisors(d)):
+        return None
+    return d
+
+
+def identify_group(r: int) -> dict:
+    """The projective image of the genus-1 pair, identified from the
+    certificates: PSL2(F_r), of order r(r^2-1)/2, when the graph
+    certificate holds with the center as kernel, the linear lift is
+    certified and every generator order is certified.  Otherwise order is
+    None and matches is "neither"."""
     full = r * (r * r - 1)
     half = full // 2
-    if gc.order == full:
-        matches = "SL2"
-    elif gc.order == half:
-        matches = "PSL2"
-    else:
-        matches = "neither"
+    graph = mod_r_graph_report(r)
+    lift = linear_lift_report(r)
 
     rho_s, rho_t = rho_genus1(r)
-    st = rho_s @ rho_t
-    orders = {
-        "s": projective_order(rho_s),
-        "t": projective_order(rho_t),
-        "st": projective_order(st),
-    }
+    s, t = _Letter(rho_s), _Letter(rho_t)
+    st = _Letter(t.times(rho_s, 1))
+    g_s, g_t = (0, r - 1, 1, 0), (1, 1, 0, 1)  # the generators s, t of SL2(F_r)
+    words = (("s", s, g_s), ("t", t, g_t), ("st", st, sl2_mul(g_s, g_t, r)))
+    orders = {name: _certified_order(m, _psl2_order(g, r)) for name, m, g in words}
     relations = {
-        "s4_scalar": (rho_s.matpow(4)).is_scalar(),
-        "braid_scalar": (st.matpow(3)).is_scalar(),
-        "t_r_scalar": (rho_t.matpow(r)).is_scalar(),
+        "s4_scalar": s.power(4).is_scalar(),
+        "braid_scalar": st.power(3).is_scalar(),
+        "t_r_scalar": t.power(r).is_scalar(),
     }
-    report = {
+    certified = (
+        graph["kernel_is_center"]
+        and lift["is_linear_representation"]
+        and None not in orders.values()
+    )
+    return {
         "r": r,
-        "order": gc.order,
-        "complete": gc.complete,
+        "order": half if certified else None,
         "sl2_order": full,
         "psl2_order": half,
-        "matches": matches,
-        "order_divides_sl2": gc.order > 0 and full % gc.order == 0,
+        "matches": "PSL2" if certified else "neither",
         "generator_orders": orders,
         "relations": relations,
-        "mod_r_graph": mod_r_graph_report(r),
-        "linear_lift": linear_lift_report(r),
+        "mod_r_graph": graph,
+        "linear_lift": lift,
         "r_mod_4": r % 4,
     }
-    return report
-

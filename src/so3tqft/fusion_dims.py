@@ -14,7 +14,6 @@ diagnostic.  Nothing here needs a cyclotomic field or numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, pi, sin
 
@@ -53,18 +52,41 @@ def fusion_coeff(r: int, a: int, b: int, c: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
 class SurfaceSpec:
-    r: int
-    genus: int
-    boundary: tuple = ()
+    """A surface of the given genus with boundary labels at level r, checked
+    on construction.  Immutable; equal and hashed by (r, genus, boundary)."""
 
-    def __post_init__(self):
-        _require_level(self.r)
-        if self.genus < 0:
+    __slots__ = ("r", "genus", "boundary")
+
+    def __init__(self, r: int, genus: int, boundary: tuple = ()):
+        _require_level(r)
+        if genus < 0:
             raise ValueError("genus must be non-negative")
-        for h in self.boundary:
-            _check_label(self.r, h)
+        for h in boundary:
+            _check_label(r, h)
+        for name, value in (("r", r), ("genus", genus), ("boundary", boundary)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return (self.r, self.genus, self.boundary)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        r, genus, boundary = self._fields()
+        return f"SurfaceSpec(r={r!r}, genus={genus!r}, boundary={boundary!r})"
 
 
 @lru_cache(maxsize=None)

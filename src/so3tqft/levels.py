@@ -1,10 +1,14 @@
 """Level helpers shared by every module: primality, the level check (r an odd
-prime >= 5) and the SO(3) label set.  Plain integers only, so that a caller
-which needs nothing more never loads numpy."""
+prime >= 5), the SO(3) label set, the levels with character tables and
+products in SL2(F_r).  Plain integers only, so that a caller which needs
+nothing more never loads numpy."""
 
 from __future__ import annotations
 
-__all__ = ["is_prime", "is_odd_prime", "so3_labels"]
+__all__ = ["is_prime", "is_odd_prime", "so3_labels", "sl2_mul", "SUPPORTED_RANGE"]
+
+# levels whose SL2(F_r) character tables sl2_char builds
+SUPPORTED_RANGE = (5, 13)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -44,3 +48,15 @@ def _require_level(r: int):
 
 def so3_labels(r: int):
     return list(range(0, r - 2, 2))
+
+
+def sl2_mul(x, y, r):
+    """Product of 2x2 matrices over F_r stored as (a, b, c, d) tuples."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        (a * e + b * g) % r,
+        (a * f + b * h) % r,
+        (c * e + d * g) % r,
+        (c * f + d * h) % r,
+    )

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cyclo import CycField, CycNumber, get_field, work_dtype
 from .cycmatrix import CycMatrix, _product
-from .levels import is_odd_prime, is_prime
+from .levels import SUPPORTED_RANGE, is_odd_prime, is_prime, sl2_mul
 
 __all__ = [
     "FiniteGroup",
@@ -49,20 +49,6 @@ __all__ = [
     "screen_induction_triples",
     "SUPPORTED_RANGE",
 ]
-
-SUPPORTED_RANGE = (5, 13)
-
-
-def sl2_mul(x, y, r):
-    """Product of 2x2 matrices over F_r stored as (a, b, c, d) tuples."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return (
-        (a * e + b * g) % r,
-        (a * f + b * h) % r,
-        (c * e + d * g) % r,
-        (c * f + d * h) % r,
-    )
 
 
 def sl2_inv(x, r):

@@ -1,6 +1,33 @@
 import re
 
+import pytest
+
 PRIMES = (5, 7, 11, 13)
+
+
+@pytest.fixture
+def break_certificate(monkeypatch):
+    """break_certificate(r, how) patches finite_image so that one certificate
+    of the level-r pair fails: rho(t) -> rho(t)^2, s and t swapped, or the
+    lift scalar lambda_t times zeta_r."""
+    import so3tqft.finite_image as finite_image
+
+    def apply(r, how):
+        rho_s, rho_t = finite_image.rho_genus1(r)
+        if how == "lambda_t_times_zeta_r":
+            lift = finite_image._lift_scalars
+            zeta_r = rho_s.field.zeta_power(4)
+
+            def tampered(*args):
+                lam_s, lam_t = lift(*args)
+                return lam_s, lam_t * zeta_r
+
+            monkeypatch.setattr(finite_image, "_lift_scalars", tampered)
+        else:
+            pair = (rho_s, rho_t @ rho_t) if how == "t_squared" else (rho_t, rho_s)
+            monkeypatch.setattr(finite_image, "rho_genus1", lambda r: pair)
+
+    return apply
 
 CRITERION_TITLES = {
     "01": "odd-block identification identities, exact",

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import so3tqft
-from so3tqft.cli import main
+from so3tqft.cli import MAX_IMAGE_R, main
+from so3tqft.levels import is_odd_prime
 
 
 def run(capsys, *argv):
@@ -26,7 +27,8 @@ def test_capacity_errors(capsys):
     code, out, err = run(capsys, "chartab", "--r", "17", "--json")
     assert code == 3
     assert "capacity" in err
-    code, out, err = run(capsys, "image", "--r", "17", "--json")
+    past_cap = next(p for p in range(MAX_IMAGE_R + 1, 2 * MAX_IMAGE_R) if is_odd_prime(p))
+    code, out, err = run(capsys, "image", "--r", str(past_cap), "--json")
     assert code == 3
     code, out, err = run(capsys, "dims", "--r", "7", "--genus", "13", "--json")
     assert code == 3
@@ -111,6 +113,57 @@ def test_image_json(capsys):
     assert report["matches"] == "PSL2"
     assert report["generator_orders"] == {"s": 2, "t": 5, "st": 3}
     assert report["linear_lift"]["linear_image"] == "SL2"
+    assert "max_order" not in report["inputs"]
+
+
+def test_image_at_the_cap(capsys):
+    r = MAX_IMAGE_R
+    code, out, _ = run(capsys, "image", "--r", str(r), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == r * (r * r - 1) // 2
+    assert report["matches"] == "PSL2"
+    assert report["linear_lift"]["linear_image"] == ("SL2" if r % 4 == 1 else "PSL2")
+
+
+@pytest.mark.parametrize("how", ("t_squared", "s_t_swapped", "lambda_t_times_zeta_r"))
+def test_image_exits_1_when_a_certificate_fails(capsys, how, break_certificate):
+    break_certificate(7, how)
+    code, out, err = run(capsys, "image", "--r", "7", "--json")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["matches"] == "neither"
+    assert report["order"] is None
+
+
+def test_image_exits_1_when_the_weil_pair_differs(capsys, monkeypatch):
+    import so3tqft.finite_image as finite_image
+
+    names, gens = finite_image.weil_generators(7)
+    swapped = (gens[1], gens[0], gens[2], gens[3])
+    monkeypatch.setattr(finite_image, "weil_generators", lambda r: (names, swapped))
+    code, out, err = run(capsys, "image", "--r", "7", "--generators", "weil", "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["weil_image_equality"] is False
+    assert run(capsys, "image", "--r", "7", "--json")[0] == 0
+
+
+@pytest.mark.parametrize("r", (5, 7, 11, 13))
+def test_ltwo_all_pairs_matches_pair_by_pair_loop(r):
+    from so3tqft.cli import _ltwo_all_pairs
+    from so3tqft.sl2_char import sl2_table, tensor_decompose
+
+    tbl = sl2_table(r)
+    half = (r - 1) // 2
+    triv = tbl.trivial_index()
+    k = tbl.num_classes()
+    want = all(
+        any(m and tbl.degrees[c] > half for c, m in enumerate(tensor_decompose(tbl, a, b)))
+        for a in range(k)
+        for b in range(a, k)
+        if triv not in (a, b)
+    )
+    assert _ltwo_all_pairs(r) is want is True
 
 
 @pytest.mark.parametrize(
@@ -174,7 +227,8 @@ def test_import_sets_one_blas_thread_unless_preset():
 
 _COLD = """
 import sys
-from so3tqft.cli import main
+from so3tqft.cli import MAX_IMAGE_R, main
+from so3tqft.levels import is_odd_prime
 
 assert main(["dims", "--r", "13", "--genus", "12", "--verlinde-check", "--json"]) == 0
 try:
@@ -182,15 +236,27 @@ try:
 except SystemExit as exit:
     assert exit.code == 0
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)
+assert "dataclasses" not in sys.modules
 """
 
 
 _IMAGE = """
 import sys
-from so3tqft.cli import main
+from so3tqft.cli import MAX_IMAGE_R, main
+from so3tqft.levels import is_odd_prime
 
 assert main(["image", "--r", "5", "--json"]) == 0
 assert not {"so3tqft.sl2_char", "so3tqft.mfld3"} & set(sys.modules)
+"""
+
+
+_VERIFY_PAST_CAPS = """
+import sys
+from so3tqft.cli import main
+
+assert main(["verify-all", "--r", "17", "--json"]) == 0
+assert "so3tqft.sl2_char" not in sys.modules
+assert "so3tqft.finite_image" not in sys.modules
 """
 
 
@@ -217,13 +283,8 @@ def test_image_imports_only_what_it_runs():
     assert json.loads(_fresh_python(_IMAGE)[0])["order"] == 60
 
 
-def test_image_not_finite_within_bound(capsys):
-    code, out, _ = run(capsys, "image", "--r", "5", "--max-order", "10", "--json")
-    assert code == 1
-    report = json.loads(out)
-    assert report["complete"] is False
-    assert report["note"] == "not finite within bound"
-    assert report["order_reached"] == 10
+def test_verify_all_past_the_caps_imports_no_table_or_enumeration():
+    assert json.loads(_fresh_python(_VERIFY_PAST_CAPS)[0])["all_ok"] is True
 
 
 @pytest.mark.parametrize(
@@ -231,8 +292,6 @@ def test_image_not_finite_within_bound(capsys):
     [
         ["modular-data", "--r", "5", "--json", "--out", "{tmp}/missing/x.json"],
         ["tau", "--r", "5", "--survey", "-3", "--json"],
-        ["image", "--r", "5", "--max-order", "0", "--json"],
-        ["image", "--r", "5", "--max-order", "-4", "--json"],
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):

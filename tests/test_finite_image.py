@@ -7,7 +7,7 @@ from sympy.combinatorics.free_groups import free_group
 
 import so3tqft.cycmatrix as cycmatrix
 import so3tqft.finite_image as finite_image
-from so3tqft.cli import MAX_IMAGE_R
+from so3tqft.cli import MAX_ENUMERATION_R
 from so3tqft.cyclo import is_odd_prime
 from so3tqft.cycmatrix import CycMatrix
 from so3tqft.finite_image import (
@@ -27,7 +27,8 @@ from so3tqft.finite_image import (
     weil_image_equality,
 )
 from so3tqft.modular_data import build_modular_data, rho_genus1
-from so3tqft.sl2_char import sl2_inv, sl2_mul
+from so3tqft.levels import sl2_mul
+from so3tqft.sl2_char import sl2_inv
 
 
 # The one-element-at-a-time search that the batched search replaced, kept
@@ -87,11 +88,22 @@ def test_closure_through_python_int_work_arrays(monkeypatch):
 
 
 def test_closure_caches_are_bounded():
-    for cached in (so3_closure, weil_closure):
-        assert cached.cache_info().maxsize == finite_image._CLOSURE_CACHE <= 16
+    cached = finite_image._genus1_closure
+    assert cached.cache_info().maxsize == finite_image._CLOSURE_CACHE <= 16
     for m in range(1, 2 * finite_image._CLOSURE_CACHE + 1):
         so3_closure(5, max_order=m)
-    assert so3_closure.cache_info().currsize <= finite_image._CLOSURE_CACHE
+    assert cached.cache_info().currsize <= finite_image._CLOSURE_CACHE
+
+
+def test_so3_and_weil_closures_share_one_cache_entry():
+    cached = finite_image._genus1_closure
+    cached.cache_clear()
+    gc = so3_closure(11)
+    assert weil_closure(11) is gc
+    assert so3_closure(11, 10**7) is gc
+    assert so3_closure(11, max_order=10**7) is gc
+    info = cached.cache_info()
+    assert info.misses == 1 and info.currsize == 1
 
 
 def test_canonicalize_scalar_collapse():
@@ -173,6 +185,8 @@ def test_projective_generator_orders():
         assert projective_order(rho_s) == 2
         assert projective_order(rho_t) == r
         assert projective_order(rho_s @ rho_t) == 3
+        with pytest.raises(ArithmeticError):
+            projective_order(rho_t, bound=r - 1)
 
 
 def test_proj_inverse():
@@ -184,9 +198,9 @@ def test_proj_inverse():
 
 def test_identify_group_small():
     for r in (5, 7):
-        gc = so3_closure(r)
-        rep = identify_group(gc, r)
+        rep = identify_group(r)
         assert rep["matches"] == "PSL2"
+        assert rep["order"] == r * (r * r - 1) // 2
         assert rep["generator_orders"] == {"s": 2, "t": r, "st": 3}
         assert all(rep["relations"].values())
         assert rep["mod_r_graph"]["is_homomorphism"]
@@ -227,14 +241,33 @@ def test_weil_certificate_rejects_a_tampered_generator(monkeypatch):
         monkeypatch.setattr(finite_image, "weil_generators", lambda r: (names, tampered))
         assert not weil_image_equality(5)
         with pytest.raises(ArithmeticError):
-            weil_closure.__wrapped__(5)
+            weil_closure(5)
 
 
 def test_weil_closure_order_r11():
     assert weil_closure(11).order == so3_closure(11).order == 660
 
 
-@pytest.mark.parametrize("r", [p for p in range(5, MAX_IMAGE_R + 1) if is_odd_prime(p)])
+ENUMERATED = [p for p in range(5, MAX_ENUMERATION_R + 1) if is_odd_prime(p)]
+
+
+@pytest.mark.parametrize("r", ENUMERATED)
+def test_certificate_route_matches_enumeration(r):
+    rep = identify_group(r)
+    gc = so3_closure(r)
+    full = r * (r * r - 1)
+    assert gc.complete
+    assert rep["order"] == gc.order
+    assert rep["matches"] == {full: "SL2", full // 2: "PSL2"}.get(gc.order, "neither")
+    rho_s, rho_t = rho_genus1(r)
+    assert rep["generator_orders"] == {
+        "s": projective_order(rho_s),
+        "t": projective_order(rho_t),
+        "st": projective_order(rho_s @ rho_t),
+    }
+
+
+@pytest.mark.parametrize("r", ENUMERATED)
 def test_presentations_define_psl2_and_sl2(r):
     # Coset enumeration gives the index of <x> in G = <x, y | relators>, and
     # x^r = 1 bounds |<x>| by r, so |G| <= index * r.  (t, s) satisfies
@@ -299,3 +332,34 @@ def test_relator_check_evaluates_each_power():
     assert check(((("x", 7),), (("y", 2),), (("x", 3), ("y", 1), ("y", -1), ("x", -3))))
     assert not check(((("x", 5),), (("y", 2),)))
     assert not check(((("x", 7),), (("y", 2),), (("x", 1), ("y", -1))))
+
+
+@pytest.mark.parametrize("how", ("t_squared", "s_t_swapped", "lambda_t_times_zeta_r"))
+@pytest.mark.parametrize("r", (5, 7, 11, 13))
+def test_identify_group_rejects_a_tampered_certificate(r, how, break_certificate):
+    break_certificate(r, how)
+    rep = identify_group(r)
+    assert rep["matches"] == "neither"
+    assert rep["order"] is None
+
+
+def test_certified_order_is_exact():
+    rho_s, rho_t = rho_genus1(7)
+    s, t = finite_image._Letter(rho_s), finite_image._Letter(rho_t)
+    assert finite_image._certified_order(s, 2) == 2
+    assert finite_image._certified_order(t, 7) == 7
+    # a multiple of the order, and a divisor of it, are both refused
+    assert finite_image._certified_order(s, 4) is None
+    assert finite_image._certified_order(t, 1) is None
+    assert finite_image._certified_order(t, 14) is None
+
+
+@pytest.mark.parametrize("r", (5, 13))
+def test_diagonal_letters_match_dense_products(r):
+    rho_s, rho_t = rho_genus1(r)
+    t = finite_image._Letter(rho_t)
+    assert t.exponents is not None
+    assert finite_image._Letter(rho_s).exponents is None
+    for e in (1, 2, (r + 1) // 2, r - 1, r):
+        assert t.power(e) == rho_t.matpow(e)
+        assert t.times(rho_s, e) == rho_s @ rho_t.matpow(e)

@@ -170,3 +170,22 @@ def test_surface_spec_validation():
         SurfaceSpec(7, 1, (5,))
     with pytest.raises(ValueError):
         SurfaceSpec(6, 1)
+
+
+def test_surface_spec_is_an_immutable_value():
+    spec = SurfaceSpec(7, 2)
+    assert (spec.r, spec.genus, spec.boundary) == (7, 2, ())
+    assert spec == SurfaceSpec(7, 2, ()) == SurfaceSpec(r=7, genus=2, boundary=())
+    assert spec != SurfaceSpec(7, 2, (0,))
+    assert spec != SurfaceSpec(7, 3)
+    assert spec != (7, 2, ())
+    assert hash(spec) == hash(SurfaceSpec(7, 2, ()))
+    assert len({spec, SurfaceSpec(7, 2), SurfaceSpec(7, 1, (2,))}) == 2
+    assert repr(SurfaceSpec(7, 1, (2,))) == "SurfaceSpec(r=7, genus=1, boundary=(2,))"
+    with pytest.raises(AttributeError):
+        spec.genus = 3
+    with pytest.raises(AttributeError):
+        del spec.r
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert spec.genus == 2
