@@ -26,6 +26,14 @@ two sides both vary, such as character tables and Heegaard words, keep
 _product.  The package sets OPENBLAS_NUM_THREADS=1 on import unless it is
 already set, so these small float64 matmuls run on one BLAS thread.
 
+Matrices of roots of unity are built from their exponents: CycMatrix.roots
+reads a monomial matrix (the diagonal rho(t), the Heisenberg matrices, the
+Weil intertwiner R_t) off the field's power table.  A diagonal one that is
+multiplied into words is kept as its exponents by _Letter, so its powers
+are power-table lookups and a product by it scales columns.  The
+presentation certificates of finite_image, the projective relations of
+modular_data and the Heegaard words of mfld3 all evaluate through it.
+
 CycNumber objects are built only at the API edge: indexing, entries, rows,
 JSON output and embedding.
 """
@@ -212,6 +220,17 @@ class CycMatrix:
         flat = [diag[i] if i == j else field.zero for i in range(n) for j in range(n)]
         return CycMatrix(field, n, n, flat)
 
+    @staticmethod
+    def roots(field, ks, cols=None):
+        """The square monomial matrix whose row i holds zeta_N^ks[i] in
+        column cols[i], or on the diagonal when cols is None: read off the
+        field's power table, with no CycNumber built."""
+        ks = np.asarray(ks)
+        n = len(ks)
+        arr = np.zeros((n, n, field.degree), dtype=np.int64)
+        arr[np.arange(n), np.arange(n) if cols is None else cols] = field.pw[ks % field.n]
+        return CycMatrix._from_array(field, arr, 1)
+
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, ij):
@@ -351,3 +370,63 @@ class CycMatrix:
 
     def __repr__(self):
         return f"CycMatrix({self.rows}x{self.cols} over Q(zeta_{self.field.n}))"
+
+
+def _root_exponents(m: CycMatrix):
+    """The exponents k_j with m = diag(zeta_N^k_j), as an array, or None
+    when m is not a diagonal of roots of unity."""
+    if not m.is_diagonal():
+        return None
+    ks = [m.field.root_of_unity_exponent(m[j, j]) for j in range(m.rows)]
+    return None if None in ks else np.array(ks)
+
+
+def _scale_columns(m: CycMatrix, ks) -> CycMatrix:
+    """m @ diag(zeta_N^k_j): column j of m times zeta_N^k_j, one batched
+    product by the multiplication matrices of the roots, whose row p is the
+    power table's row k_j + p."""
+    f = m.field
+    dmul = f.pw[(ks[:, None] + np.arange(f.degree)) % f.n]  # (n, d, d)
+    cols = _mul_product(m.arr.transpose(1, 0, 2)[:, :, None, :], dmul)
+    return CycMatrix._from_array(f, cols[:, :, 0].transpose(1, 0, 2), m.den)
+
+
+class _Letter:
+    """A matrix to be raised to powers and multiplied into words, with its
+    powers cached.  A diagonal of roots of unity (rho(t) and its lift) is
+    kept as its exponents: its powers, negative ones included, are read off
+    the power table and a product by one scales columns, O(n^2 d^2) against
+    the O(n^3 d^2) of a dense product."""
+
+    __slots__ = ("mat", "exponents", "_powers")
+
+    def __init__(self, mat: CycMatrix):
+        self.mat = mat
+        self.exponents = _root_exponents(mat)
+        self._powers = {}
+
+    def power(self, e: int) -> CycMatrix:
+        """mat^e, e >= 0 unless mat is diagonal; a dense one by squaring the
+        cached mat^(e//2)."""
+        p = self._powers.get(e)
+        if p is None:
+            m = self.mat
+            if self.exponents is not None:
+                p = CycMatrix.roots(m.field, self.exponents * e)
+            elif e < 0:
+                raise ValueError("only a diagonal letter takes negative powers")
+            elif e <= 1:
+                p = m if e else CycMatrix.identity(m.field, m.rows)
+            else:
+                h = self.power(e // 2)
+                p = h @ h if e % 2 == 0 else h @ h @ m
+            self._powers[e] = p
+        return p
+
+    def times(self, m, e: int) -> CycMatrix:
+        """m @ mat^e, or mat^e when m is None."""
+        if m is None:
+            return self.power(e)
+        if self.exponents is not None:
+            return _scale_columns(m, self.exponents * e)
+        return m @ self.power(e)

@@ -11,10 +11,11 @@ presentation of SL2(F_r), and its image distinguishes r = 1 from r = 3
 mod 4.  The projective order d of each generator word is its order in
 PSL2(F_r), found by integer arithmetic mod r, and certified exactly: the
 word's matrix to the d is scalar, and to d/q is not for any prime q | d.
-The words are evaluated letter by letter; a diagonal letter (rho(t) and its
-lift) is kept as the exponents of its roots of unity, so its powers are read
-off the field's power table and a product by it scales columns, and only the
-dense letter rho(s) costs full matrix products.
+The words are evaluated letter by letter through cycmatrix._Letter, which
+keeps a diagonal letter (rho(t) and its lift) as the exponents of its roots
+of unity, so its powers are read off the field's power table and a product
+by it scales columns, and only the dense letter rho(s) costs full matrix
+products.
 
 The enumeration canonicalizes matrices by dividing out the first nonzero
 entry in row-major order, which gives a unique exact representative per
@@ -40,9 +41,9 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclo import CycNumber
-from .cycmatrix import CycMatrix, _mul_matrix, _mul_product, _normalize, _stack_keys
+from .cycmatrix import CycMatrix, _Letter, _mul_matrix, _mul_product, _normalize, _stack_keys
 from .levels import sl2_mul
-from .modular_data import rho_genus1
+from .modular_data import genus1_letters, projective_relations, rho_genus1
 from .weil import build_weil, verify_odd_block_identification
 
 __all__ = [
@@ -334,71 +335,6 @@ def sl2_relators(r: int) -> tuple:
     )
 
 
-def _root_exponents(m: CycMatrix):
-    """The exponents k_j with m = diag(zeta_N^k_j), as an array, or None
-    when m is not a diagonal of roots of unity."""
-    if not m.is_diagonal():
-        return None
-    ks = [m.field.root_of_unity_exponent(m[j, j]) for j in range(m.rows)]
-    return None if None in ks else np.array(ks)
-
-
-def _roots_diagonal(field, ks) -> CycMatrix:
-    """diag(zeta_N^k_j), read off the field's power table."""
-    n = len(ks)
-    arr = np.zeros((n, n, field.degree), dtype=np.int64)
-    arr[range(n), range(n)] = field.pw[ks % field.n]
-    return CycMatrix._from_array(field, arr, 1)
-
-
-def _scale_columns(m: CycMatrix, ks) -> CycMatrix:
-    """m @ diag(zeta_N^k_j): column j of m times zeta_N^k_j, one batched
-    product by the multiplication matrices of the roots, whose row p is the
-    power table's row k_j + p."""
-    f = m.field
-    dmul = f.pw[(ks[:, None] + np.arange(f.degree)) % f.n]  # (n, d, d)
-    cols = _mul_product(m.arr.transpose(1, 0, 2)[:, :, None, :], dmul)
-    return CycMatrix._from_array(f, cols[:, :, 0].transpose(1, 0, 2), m.den)
-
-
-class _Letter:
-    """A matrix to be raised to powers and multiplied into words, with its
-    powers cached.  A diagonal of roots of unity (rho(t) and its lift) is
-    kept as its exponents: its powers are read off the power table and a
-    product by one scales columns, O(n^2 d^2) against the O(n^3 d^2) of a
-    dense product."""
-
-    __slots__ = ("mat", "exponents", "_powers")
-
-    def __init__(self, mat: CycMatrix):
-        self.mat = mat
-        self.exponents = _root_exponents(mat)
-        self._powers = {}
-
-    def power(self, e: int) -> CycMatrix:
-        """mat^e for e >= 0, a dense one by squaring the cached mat^(e//2)."""
-        p = self._powers.get(e)
-        if p is None:
-            m = self.mat
-            if self.exponents is not None:
-                p = _roots_diagonal(m.field, self.exponents * e)
-            elif e <= 1:
-                p = m if e else CycMatrix.identity(m.field, m.rows)
-            else:
-                h = self.power(e // 2)
-                p = h @ h if e % 2 == 0 else h @ h @ m
-            self._powers[e] = p
-        return p
-
-    def times(self, m, e: int) -> CycMatrix:
-        """m @ mat^e, or mat^e when m is None."""
-        if m is None:
-            return self.power(e)
-        if self.exponents is not None:
-            return _scale_columns(m, self.exponents * e)
-        return m @ self.power(e)
-
-
 def _relators_hold(relators, x, y, holds) -> bool:
     """Whether holds(w(x, y)) for every relator w.  A negative exponent is
     taken modulo n for the letter's power relator x^n or y^n, which is
@@ -442,8 +378,7 @@ def _lift_scalars(rho_s, rho_t, r):
     (rho(s) rho(t))^3 = mu rho(s)^2 = mu I; None when the braid is not a
     root of unity times I, so that no such pair exists."""
     f = rho_s.field
-    st = _Letter(rho_t).times(rho_s, 1)  # rho(s) rho(t)
-    braid = _Letter(st).power(3)
+    braid = genus1_letters(rho_s, rho_t)["st"].power(3)
     k = f.root_of_unity_exponent(braid[0, 0]) if braid.is_scalar() else None
     if k is None:
         return None
@@ -534,17 +469,12 @@ def identify_group(r: int) -> dict:
     graph = mod_r_graph_report(r)
     lift = linear_lift_report(r)
 
-    rho_s, rho_t = rho_genus1(r)
-    s, t = _Letter(rho_s), _Letter(rho_t)
-    st = _Letter(t.times(rho_s, 1))
+    letters = genus1_letters(*rho_genus1(r))
     g_s, g_t = (0, r - 1, 1, 0), (1, 1, 0, 1)  # the generators s, t of SL2(F_r)
-    words = (("s", s, g_s), ("t", t, g_t), ("st", st, sl2_mul(g_s, g_t, r)))
-    orders = {name: _certified_order(m, _psl2_order(g, r)) for name, m, g in words}
-    relations = {
-        "s4_scalar": s.power(4).is_scalar(),
-        "braid_scalar": st.power(3).is_scalar(),
-        "t_r_scalar": t.power(r).is_scalar(),
-    }
+    words = (("s", g_s), ("t", g_t), ("st", sl2_mul(g_s, g_t, r)))
+    orders = {name: _certified_order(letters[name], _psl2_order(g, r)) for name, g in words}
+    # the same letters, so the powers of the orders serve the relations too
+    relations = projective_relations(r, letters)
     certified = (
         graph["kernel_is_center"]
         and lift["is_linear_representation"]

@@ -22,11 +22,12 @@ the squared norms x * conj(x).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycNumber
-from .cycmatrix import CycMatrix
+from .cycmatrix import CycMatrix, _Letter
 from .modular_data import ModularData, rho_genus1
 
 __all__ = [
@@ -209,19 +210,22 @@ LENS_WORD_SIGN = 1
 
 def heegaard_word_matrix(md: ModularData, word: str) -> CycMatrix:
     """Product of rho-images for a word over {s, t, S, T} (capitals are
-    inverses), applied left to right."""
-    rho_s, rho_t = rho_genus1(md.r)
-    rho_t_inv = CycMatrix.diagonal(md.field, [md.twist[l] for l in md.labels])
-    # rho(s) is an exact involution, so it serves as its own inverse
-    gens = {"s": rho_s, "S": rho_s, "t": rho_t, "T": rho_t_inv}
-    out = CycMatrix.identity(md.field, len(md.labels))
-    for ch in word:
-        if ch.isspace():
-            continue
-        if ch not in gens:
+    inverses), applied left to right, whitespace ignored.  Each run of t/T
+    is one column scaling by the diagonal rho(t) to the run's net exponent;
+    rho(s) is an exact involution, so it serves as its own inverse, and
+    only s/S cost dense products."""
+    letters = "".join(word.split())
+    for ch in letters:
+        if ch not in "sStT":
             raise ValueError(f"word letter {ch!r} not in {{s, t, S, T}}")
-        out = out @ gens[ch]
-    return out
+    rho_s, rho_t = rho_genus1(md.r)
+    t, out = _Letter(rho_t), None
+    for run in re.findall("[sS]|[tT]+", letters):
+        if run in "sS":
+            out = rho_s if out is None else out @ rho_s
+        else:
+            out = t.times(out, run.count("t") - run.count("T"))
+    return CycMatrix.identity(md.field, len(md.labels)) if out is None else out
 
 
 def heegaard_tau(md: ModularData, word: str) -> float:
@@ -272,9 +276,16 @@ def norm_survey(md: ModularData, max_word_len: int) -> dict:
     rho_s, rho_t = rho_genus1(md.r)
     ident = CycMatrix.identity(md.field, len(md.labels))
 
+    # exact |m[0, 0]|^2 -> [|m[0, 0]| of its first class, rounded; class count]
+    buckets = {}
+
+    def count(m):
+        x = m[(0, 0)]
+        buckets.setdefault(x * x.conj(), [round(abs(x.embed()), 12), 0])[1] += 1
+
     seen = {canonicalize(ident).key()}
     frontier = [ident]
-    class_norms = [_rounded_norm(ident)]
+    count(ident)
     saturation_length = max_word_len
     for length in range(1, max_word_len + 1):
         nxt = []
@@ -285,17 +296,15 @@ def norm_survey(md: ModularData, max_word_len: int) -> dict:
                 if key not in seen:
                     seen.add(key)
                     nxt.append(prod)
-                    class_norms.append(_rounded_norm(prod))
+                    count(prod)
         frontier = nxt
         if not frontier:
             saturation_length = length - 1
             break
 
     closure_order = so3_closure(md.r).order
-    histogram = {}
-    for v in class_norms:
-        histogram[v] = histogram.get(v, 0) + 1
-    values = sorted(histogram)
+    histogram = sorted(buckets.values())
+    values = [v for v, _ in histogram]
     return {
         "r": md.r,
         "max_word_len": max_word_len,
@@ -305,9 +314,5 @@ def norm_survey(md: ModularData, max_word_len: int) -> dict:
         "bounded_by_closure": len(values) <= closure_order,
         "saturation_length": saturation_length,
         "values": values,
-        "histogram": {str(v): c for v, c in sorted(histogram.items())},
+        "histogram": {str(v): c for v, c in histogram},
     }
-
-
-def _rounded_norm(m: CycMatrix) -> float:
-    return round(abs(m[(0, 0)].embed()), 12)

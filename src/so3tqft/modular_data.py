@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import CycField, CycNumber, get_field, sqrt_r
-from .cycmatrix import CycMatrix
+from .cycmatrix import CycMatrix, _Letter
 from .levels import _require_level, so3_labels
 
 __all__ = [
@@ -25,6 +25,8 @@ __all__ = [
     "quantum_integer",
     "build_modular_data",
     "rho_genus1",
+    "genus1_letters",
+    "projective_relations",
     "dehn_twist_spectrum",
     "central_charge_order",
     "so3_labels",
@@ -70,7 +72,6 @@ class ModularData:
     twist: dict
     s_tilde: CycMatrix
     s_unitary: CycMatrix
-    t_mat: CycMatrix
     global_dim: CycNumber
     global_dim_inv: CycNumber
     p_plus: CycNumber
@@ -114,7 +115,6 @@ def build_modular_data(r: int) -> ModularData:
 
     global_dim_inv = global_dim.inv()
     s_unitary = s_tilde.scalar_mul(global_dim_inv)
-    t_mat = CycMatrix.diagonal(f, [twist[l] for l in labels])
 
     p_plus = f.zero
     p_minus = f.zero
@@ -131,7 +131,6 @@ def build_modular_data(r: int) -> ModularData:
         twist=twist,
         s_tilde=s_tilde,
         s_unitary=s_unitary,
-        t_mat=t_mat,
         global_dim=global_dim,
         global_dim_inv=global_dim_inv,
         p_plus=p_plus,
@@ -145,10 +144,25 @@ def rho_genus1(r: int):
     rho(t) is the inverse twist diagonal diag(A^{-j(j+2)}): Dehn-twist
     eigenvalues are the inverse twists in this convention."""
     md = build_modular_data(r)
-    t_inv = CycMatrix.diagonal(
-        md.field, [md.theta_power(l, -1) for l in md.labels]
-    )
+    t_inv = CycMatrix.roots(md.field, [-(r + 1) * l * (l + 2) for l in md.labels])
     return md.s_unitary, t_inv
+
+
+def genus1_letters(rho_s: CycMatrix, rho_t: CycMatrix) -> dict:
+    """The letters s, t and st of the genus-1 pair, each caching its powers;
+    t is diagonal, so st = rho(s) rho(t) is a column scaling."""
+    s, t = _Letter(rho_s), _Letter(rho_t)
+    return {"s": s, "t": t, "st": _Letter(t.times(rho_s, 1))}
+
+
+def projective_relations(r: int, letters: dict) -> dict:
+    """The relations of SL2(Z) mod r up to scalars, at the genus1_letters:
+    rho(s)^4, (rho(s) rho(t))^3 and rho(t)^r are scalar."""
+    return {
+        "s4_scalar": letters["s"].power(4).is_scalar(),
+        "braid_scalar": letters["st"].power(3).is_scalar(),
+        "t_r_scalar": letters["t"].power(r).is_scalar(),
+    }
 
 
 @dataclass(frozen=True)

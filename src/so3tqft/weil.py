@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclo import get_field
 from .cycmatrix import CycMatrix
 from .levels import _require_level
@@ -89,32 +91,20 @@ class HeisenbergPresentation:
 
     def rho_word(self, w: HeisenbergWord) -> CycMatrix:
         """Image of z^e x^a y^c: entries e(e + 2ia) at positions (i, i+c)."""
-        f = self.rho_x.field
-        r = self.r
-        rows = []
-        for i in range(r):
-            row = [f.zero] * r
-            row[(i + w.y_exp) % r] = f.zeta_power(4 * (w.z_exp + 2 * i * w.x_exp))
-            rows.append(row)
-        return CycMatrix.from_rows(f, rows)
+        i = np.arange(self.r)
+        ks = 4 * (w.z_exp + 2 * i * w.x_exp)
+        return CycMatrix.roots(self.rho_x.field, ks, cols=(i + w.y_exp) % self.r)
 
 
 @lru_cache(maxsize=None)
 def heisenberg_presentation(r: int) -> HeisenbergPresentation:
     _require_level(r)
     f = get_field(4 * r)
-
-    def e(k):
-        return f.zeta_power(4 * k)  # e(k) = zeta_r^k inside Q(zeta_4r)
-
-    rho_x = CycMatrix.diagonal(f, [e(2 * k) for k in range(r)])
-    rows = []
-    for i in range(r):
-        row = [f.zero] * r
-        row[(i + 1) % r] = f.one
-        rows.append(row)
-    rho_y = CycMatrix.from_rows(f, rows)
-    rho_z = CycMatrix.diagonal(f, [e(1)] * r)
+    k = np.arange(r)
+    # e(k) = zeta_r^k is zeta_4r^(4k)
+    rho_x = CycMatrix.roots(f, 8 * k)
+    rho_y = CycMatrix.roots(f, np.zeros(r, dtype=int), cols=(k + 1) % r)
+    rho_z = CycMatrix.roots(f, np.full(r, 4))
 
     pres = HeisenbergPresentation(r=r, rho_x=rho_x, rho_y=rho_y, rho_z=rho_z)
     # central extension relation: y x y^-1 x^-1 = z^2
@@ -167,12 +157,9 @@ def build_weil(r: int) -> WeilMatrices:
     avoiding explicit inverses)."""
     pres = heisenberg_presentation(r)
     f = pres.rho_x.field
-
-    def e(k):
-        return f.zeta_power(4 * k)
-
-    r_s = CycMatrix.from_rows(f, [[e(2 * i * j) for j in range(r)] for i in range(r)])
-    r_t = CycMatrix.diagonal(f, [e(-i * i) for i in range(r)])
+    i = np.arange(r)
+    r_s = CycMatrix._from_array(f, f.pw[8 * np.outer(i, i) % f.n], 1)
+    r_t = CycMatrix.roots(f, -4 * i * i)
 
     x_word = HeisenbergWord.of(r, 0, 1, 0)
     y_word = HeisenbergWord.of(r, 0, 0, 1)
@@ -187,31 +174,20 @@ def build_weil(r: int) -> WeilMatrices:
     return WeilMatrices(r=r, r_s=r_s, r_t=r_t, r_s_odd=r_s_odd, r_t_odd=r_t_odd)
 
 
-def _odd_coordinates(r: int, image_col):
-    """Coordinates of a vector in the span of the f_i, checking membership
-    exactly: component 0 vanishes and v[k] = -v[r-k]."""
-    if not image_col[0].is_zero():
-        raise ArithmeticError("odd subspace is not invariant (e_0 component)")
-    for k in range(1, r):
-        if image_col[k] != -image_col[(r - k) % r]:
-            raise ArithmeticError("odd subspace is not invariant (symmetry)")
-    # f_i has +1 at position (r-1-i)/2, so that coordinate reads off directly
-    return [image_col[(r - 1 - i) // 2] for i in range(0, r - 2, 2)]
-
-
 def _restrict_to_odd(r: int, r_s: CycMatrix, r_t: CycMatrix):
-    f = r_s.field
-    labels = list(range(0, r - 2, 2))
+    """r_s and r_t on the basis f_i, checking exactly that each image v of
+    an f_i is in their span: v[0] = 0 and v[k] = -v[r-k].  f_i has +1 at
+    position (r-1-i)/2, so that is its coordinate."""
+    labels = np.arange(0, r - 2, 2)
+    hi, lo = (r - 1 - labels) // 2, (r + 1 + labels) // 2
     out = []
     for mat in (r_s, r_t):
-        cols = []
-        for j in labels:
-            hi = (r - 1 - j) // 2
-            lo = (r + 1 + j) // 2
-            image = [mat[(i, hi)] - mat[(i, lo)] for i in range(r)]
-            cols.append(_odd_coordinates(r, image))
-        rows = [[cols[j][i] for j in range(len(labels))] for i in range(len(labels))]
-        out.append(CycMatrix.from_rows(f, rows))
+        image = mat.arr[:, hi] - mat.arr[:, lo]  # (r, k, d)
+        if image[0].any():
+            raise ArithmeticError("odd subspace is not invariant (e_0 component)")
+        if not (image[1:] == -image[:0:-1]).all():
+            raise ArithmeticError("odd subspace is not invariant (symmetry)")
+        out.append(CycMatrix._from_array(mat.field, image[hi], mat.den))
     return out[0], out[1]
 
 
@@ -240,21 +216,15 @@ def verify_odd_block_identification(r: int) -> dict:
 
     a2 = f.zeta_power(2 * (r + 1))
     c_s = a2 - a2.conj()  # A^2 - A^-2
-    k = len(md.labels)
-    for i in range(k):
-        for j in range(k):
-            got = w.r_s_odd[(i, j)]
-            want = c_s * md.s_tilde[(i, j)]
-            if got != want:
-                raise OddBlockMismatch("S-block", i, j, got, want)
-
     c_t = f.zeta_power(-((r - 1) ** 2))
-    for i in range(k):
-        for j in range(k):
-            got = w.r_t_odd[(i, j)]
-            want = c_t * rho_t[(i, j)]
-            if got != want:
-                raise OddBlockMismatch("T-block", i, j, got, want)
+    k = len(md.labels)
+    blocks = (("S-block", w.r_s_odd, c_s, md.s_tilde), ("T-block", w.r_t_odd, c_t, rho_t))
+    for which, odd, c, mat in blocks:
+        for i in range(k):
+            for j in range(k):
+                got, want = odd[(i, j)], c * mat[(i, j)]
+                if got != want:
+                    raise OddBlockMismatch(which, i, j, got, want)
 
     return {
         "r": r,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import so3tqft
-from so3tqft.cli import MAX_IMAGE_R, main
+from so3tqft.cli import MAX_IMAGE_R, MAX_LEVEL, main
 from so3tqft.levels import is_odd_prime
 
 
@@ -34,6 +34,12 @@ def test_capacity_errors(capsys):
     assert code == 3
     code, out, err = run(capsys, "tau", "--r", "5", "--survey", "25", "--json")
     assert code == 3
+    past_level = next(p for p in range(MAX_LEVEL + 1, 2 * MAX_LEVEL) if is_odd_prime(p))
+    code, out, err = run(capsys, "modular-data", "--r", str(past_level), "--json")
+    assert code == 3 and "capacity" in err
+    # refused before any work: the dimension alone would not fit in memory
+    code, out, err = run(capsys, "dims", "--r", "100000000003", "--genus", "2", "--json")
+    assert code == 3 and out == ""
 
 
 def test_dims_json(capsys):
@@ -323,6 +329,18 @@ def test_verify_all_r5(capsys):
     report = json.loads(out)
     assert report["all_ok"]
     assert report["failed"] == []
+
+
+def test_verify_all_exits_1_when_the_projective_relations_fail(capsys, monkeypatch):
+    import so3tqft.modular_data as modular_data
+    # bound now, these modules keep the genus-1 pair for the other checks
+    import so3tqft.finite_image, so3tqft.mfld3, so3tqft.weil  # noqa: F401,E401
+
+    rho_s, rho_t = modular_data.rho_genus1(5)
+    monkeypatch.setattr(modular_data, "rho_genus1", lambda r: (rho_t, rho_s))
+    code, out, _ = run(capsys, "verify-all", "--r", "5", "--json")
+    assert code == 1
+    assert json.loads(out)["failed"] == ["projective-relations"]
 
 
 def test_out_file(tmp_path, capsys):

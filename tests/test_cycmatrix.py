@@ -111,3 +111,29 @@ def test_shape_checks():
         a @ b
     with pytest.raises(ValueError):
         a + b
+
+
+def test_roots_matches_entrywise_build():
+    f = get_field(28)
+    rng = random.Random(3)
+    n = 7
+
+    def entrywise(ks, cols):
+        rows = [[f.zero] * n for _ in range(n)]
+        for i, (k, c) in enumerate(zip(ks, cols)):
+            rows[i][c] = f.zeta_power(k)
+        return CycMatrix.from_rows(f, rows)
+
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cases = [
+        ([4 * i * i for i in range(n)], None),  # a diagonal
+        ([0] * n, [(i + 1) % n for i in range(n)]),  # the shift rho_y
+        ([rng.randrange(28) for _ in range(n)], perm),  # a random permutation
+        ([-rng.randrange(1, 100) for _ in range(n)], None),  # negative exponents
+        ([rng.randrange(-60, 60) for _ in range(n)], perm),
+    ]
+    for ks, cols in cases:
+        want = entrywise(ks, range(n) if cols is None else cols)
+        assert CycMatrix.roots(f, ks, cols) == want
+    assert CycMatrix.roots(f, [0] * n).is_identity()

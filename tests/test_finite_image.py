@@ -363,3 +363,6 @@ def test_diagonal_letters_match_dense_products(r):
     for e in (1, 2, (r + 1) // 2, r - 1, r):
         assert t.power(e) == rho_t.matpow(e)
         assert t.times(rho_s, e) == rho_s @ rho_t.matpow(e)
+        assert t.power(-e) == rho_t.conj_transpose().matpow(e)
+    with pytest.raises(ValueError):
+        finite_image._Letter(rho_s).power(-1)

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from so3tqft.modular_data import build_modular_data
+from so3tqft.cycmatrix import CycMatrix
+from so3tqft.modular_data import build_modular_data, rho_genus1
 from so3tqft.mfld3 import (
     ChainSurgery,
     LENS_WORD_SIGN,
@@ -228,3 +229,37 @@ def test_norm_survey():
     assert sum(report["histogram"].values()) == report["classes_reached"]
     with pytest.raises(ValueError):
         norm_survey(md, 30)
+
+
+def _dense_word_product(md, word):
+    """The oracle: one dense product per letter, rho(t)^-1 = T built entry
+    by entry from the twists."""
+    rho_s, rho_t = rho_genus1(md.r)
+    gens = {
+        "s": rho_s,
+        "S": rho_s,
+        "t": rho_t,
+        "T": CycMatrix.diagonal(md.field, [md.twist[l] for l in md.labels]),
+    }
+    out = CycMatrix.identity(md.field, len(md.labels))
+    for ch in word:
+        if not ch.isspace():
+            out = out @ gens[ch]
+    return out
+
+
+@pytest.mark.parametrize("r", (5, 7, 13))
+def test_heegaard_word_matrix_matches_letter_by_letter_product(r):
+    md = build_modular_data(r)
+    rng = random.Random(r)
+    words = ["", "tT", " ", "t" * 30, "T" * (r + 2), "s" + "t" * (2 * r + 1) + "TT s"]
+    for _ in range(6):
+        words.append("".join(rng.choice("sStT \t") for _ in range(rng.randrange(1, 25))))
+    for word in words:
+        assert heegaard_word_matrix(md, word) == _dense_word_product(md, word), word
+
+
+def test_heegaard_word_names_the_first_bad_letter():
+    md = build_modular_data(5)
+    with pytest.raises(ValueError, match="'x'"):
+        heegaard_word_matrix(md, "st T x y")

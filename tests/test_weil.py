@@ -3,11 +3,13 @@ import random
 import pytest
 
 from so3tqft.cyclo import get_field
+from so3tqft.cycmatrix import CycMatrix
 from so3tqft.modular_data import build_modular_data, rho_genus1
 from so3tqft.weil import (
     HeisenbergWord,
     S_GEN,
     T_GEN,
+    _restrict_to_odd,
     apply_action,
     build_weil,
     heisenberg_action,
@@ -190,3 +192,18 @@ def test_odd_block_proportional_to_genus1():
         rho_s, rho_t = rho_genus1(r)
         assert w.r_s_odd == md.s_tilde.scalar_mul(rep["s_constant"])
         assert w.r_t_odd == rho_t.scalar_mul(rep["t_constant"])
+
+
+@pytest.mark.parametrize(
+    "row, col, why",
+    [(0, 3, "e_0 component"), (2, 3, "symmetry"), (5, 4, "symmetry"), (6, 6, "symmetry")],
+)
+def test_restrict_to_odd_refuses_a_changed_entry(row, col, why):
+    # r = 7: the f_i use the columns (r-1-i)/2 = 3, 2, 1 and (r+1+i)/2 = 4, 5, 6
+    w = build_weil(7)
+    arr = w.r_s.arr.copy()
+    arr[row, col, 0] += 1
+    changed = CycMatrix._from_array(w.r_s.field, arr, w.r_s.den)
+    _restrict_to_odd(7, w.r_s, w.r_t)  # the unchanged pair restricts
+    with pytest.raises(ArithmeticError, match=why):
+        _restrict_to_odd(7, changed, w.r_t)
