@@ -48,7 +48,6 @@ _EXPORTS = {
     ),
     "finite_image": (
         "GroupClosure",
-        "ProjMatrix",
         "canonicalize",
         "closure",
         "identify_group",

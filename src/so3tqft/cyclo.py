@@ -34,7 +34,7 @@ from math import gcd
 
 import numpy as np
 
-from .levels import is_odd_prime, is_prime
+from .levels import is_odd_prime, is_prime, prime_divisors
 
 __all__ = [
     "CycField",
@@ -68,9 +68,8 @@ def cyclotomic_polynomial(n: int) -> tuple:
     if n < 1:
         raise ValueError("n must be positive")
     squarefree = [(1, 1)]  # (m, mu(m))
-    for p in range(2, n + 1):
-        if n % p == 0 and is_prime(p):
-            squarefree += [(m * p, -mu) for m, mu in squarefree]
+    for p in prime_divisors(n):
+        squarefree += [(m * p, -mu) for m, mu in squarefree]
     poly = [1]
     for d in [n // m for m, mu in squarefree if mu == 1]:
         # (x^d - 1) p: coefficient i is p_(i-d) - p_i

@@ -20,10 +20,9 @@ element is linear, and _mul_matrix(b) is its matrix, row (j, p) holding the
 coefficients of zeta^p b[j, l], built from the d reduced shifted copies of
 each entry (CycField.mul_matrix).  _mul_product takes the same tiers from
 the bound max|a| max|_mul_matrix(b)| (n d), n d the contracted length, and
-its result needs no reduction.  scalar_mul, the canonical scaling of a BFS
-stack and the BFS products by the generators take this path; products whose
-two sides both vary, such as character tables and Heegaard words, keep
-_product.  The package sets OPENBLAS_NUM_THREADS=1 on import unless it is
+its result needs no reduction.  scalar_mul and the BFS products by the
+generators take this path; products whose two sides both vary, such as
+character tables and Heegaard words, keep _product.  The package sets OPENBLAS_NUM_THREADS=1 on import unless it is
 already set, so these small float64 matmuls run on one BLAS thread.
 
 Matrices of roots of unity are built from their exponents: CycMatrix.roots

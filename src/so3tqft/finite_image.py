@@ -17,20 +17,23 @@ of unity, so its powers are read off the field's power table and a product
 by it scales columns, and only the dense letter rho(s) costs full matrix
 products.
 
-The enumeration canonicalizes matrices by dividing out the first nonzero
-entry in row-major order, which gives a unique exact representative per
-projective class; the closure is then a breadth-first search under left
-multiplication by the generators, hashing canonical coefficient data.  The
-search is deterministic: frontier order, generator order and shortest words
-are all reproducible.  It runs by blocks: a block of frontier elements is
-multiplied by all distinct generator matrices in one kernel call, and the
-products are canonicalized, gcd-normalized and keyed as one stack, with one
-inversion per distinct pivot; new elements are then taken in the order the
-one-at-a-time search would find them, so orders, words and cut-offs are
-unchanged.  The odd Weil generators are not searched again: once the
-odd-block identification holds, their canonical forms equal those of the
-genus-1 generators, and weil_closure checks that and returns the genus-1
-closure.
+The enumeration searches the group generated by the linear lift (m_s, m_t)
+and its inverses m^dagger, up to sign: linear_lift_report certifies that
+group to be SL2(F_r) or PSL2(F_r), whose only scalars are +-I, so its
+classes up to sign are the projective classes.  Of m and -m it keeps the
+one whose first nonzero coefficient is positive, so keying a class needs
+no division.  The closure is a breadth-first search
+under left multiplication by the generators, hashing that representative's
+coefficient data.  The search is deterministic: frontier order, generator
+order and shortest words are all reproducible.  It runs by blocks: a block
+of frontier elements is multiplied by all distinct generator matrices in
+one kernel call, and the products are normalized, signed and keyed as one
+stack; new elements are then taken in the order the one-at-a-time search
+would find them, so orders, words and cut-offs are unchanged.  The norm
+survey of mfld3 walks the same search.  The odd Weil generators are not
+searched again: once the odd-block identification holds, their canonical
+forms (each divided by its first nonzero entry) equal those of the genus-1
+generators, and weil_closure checks that and returns the genus-1 closure.
 """
 
 from __future__ import annotations
@@ -42,12 +45,11 @@ import numpy as np
 
 from .cyclo import CycNumber
 from .cycmatrix import CycMatrix, _Letter, _mul_matrix, _mul_product, _normalize, _stack_keys
-from .levels import sl2_mul
+from .levels import prime_divisors, sl2_mul
 from .modular_data import genus1_letters, projective_relations, rho_genus1
 from .weil import build_weil, verify_odd_block_identification
 
 __all__ = [
-    "ProjMatrix",
     "GroupClosure",
     "canonicalize",
     "proj_inverse",
@@ -66,66 +68,15 @@ __all__ = [
 ]
 
 
-class ProjMatrix:
-    """A projective class, stored as the canonical representative whose first
-    nonzero entry (row-major) is exactly 1."""
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat: CycMatrix):
-        self.mat = mat
-
-    def key(self):
-        return self.mat.key()
-
-    def __eq__(self, other):
-        return isinstance(other, ProjMatrix) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
-
-    def __repr__(self):
-        return f"ProjMatrix({self.mat!r})"
-
-
-@lru_cache(maxsize=1024)
-def _scalar_inverse(c: CycNumber) -> CycNumber:
-    # bounded: the enumeration at its cap r = 13 inverts 205 distinct pivots
-    return c.inv()
-
-
-def _canonical_stack(field, raw):
-    """Numerators and denominators (as cycmatrix._normalize returns them) of
-    the canonical representatives of the nonzero matrices in the stack raw,
-    whose denominators do not matter: dividing by the pivot cancels them.
-
-    The pivot is factored as content times primitive part, and each
-    distinct primitive part is inverted once."""
-    p, d = len(raw), field.degree
-    flat = raw.reshape(p, -1, d)
-    nonzero = flat.any(axis=2)
-    if not nonzero.any(axis=1).all():
+def canonicalize(m: CycMatrix) -> CycMatrix:
+    """m divided by its first nonzero entry in row-major order: one exact
+    representative per projective class."""
+    flat = m.arr.reshape(-1, m.field.degree)
+    nonzero = flat.any(axis=1)
+    if not nonzero.any():
         raise ValueError("cannot canonicalize the zero matrix")
-    pivots = flat[np.arange(p), nonzero.argmax(axis=1)]
-    content = np.gcd.reduce(pivots, axis=1)
-    distinct = {}
-    which = [
-        distinct.setdefault(tuple(v), len(distinct))
-        for v in (pivots // content[:, None]).tolist()
-    ]
-    invs = [_scalar_inverse(CycNumber(field, v, 1)) for v in distinct]
-    nums = np.array([u.num for u in invs], dtype=object)
-    # raw / pivot = raw * u / content, u the inverse of the primitive part
-    umul = _mul_matrix(field, nums[:, None, None, :])
-    out = _mul_product(flat[:, :, None, :], umul[which])
-    dens = np.array([u.den for u in invs], dtype=object)[which]
-    return _normalize(out.reshape(raw.shape), dens * content.astype(object))
-
-
-def canonicalize(m: CycMatrix) -> ProjMatrix:
-    """Divide by the first nonzero entry in row-major order."""
-    arr, den = _canonical_stack(m.field, m.arr[None])
-    return ProjMatrix(CycMatrix._from_array(m.field, arr[0], den[0]))
+    pivot = CycNumber(m.field, flat[nonzero.argmax()].tolist(), m.den)
+    return m.scalar_mul(pivot.inv())
 
 
 def proj_inverse(m: CycMatrix) -> CycMatrix:
@@ -140,13 +91,10 @@ def proj_inverse(m: CycMatrix) -> CycMatrix:
 @dataclass
 class GroupClosure:
     order: int
-    elements: dict            # canonical key -> ProjMatrix
-    generator_words: dict     # canonical key -> shortest word over the names
+    elements: dict            # key -> the representative of {m, -m}
+    generator_words: dict     # key -> shortest word over the names
     complete: bool            # False when max_order was hit
     generator_names: tuple
-
-    def contains(self, m: CycMatrix) -> bool:
-        return canonicalize(m).key() in self.elements
 
 
 # frontier elements multiplied by one batched product; larger blocks save no
@@ -154,35 +102,46 @@ class GroupClosure:
 _BLOCK = 16
 
 
-def _bfs(gens, start):
-    """Breadth-first closure of the canonical matrix start under left
-    multiplication by the canonical matrices gens, products taken to their
-    canonical representatives.
+def _up_to_sign(arr, den):
+    """The stack arr / den normalized (see cycmatrix._normalize), each matrix
+    negated when its first nonzero coefficient is negative: one fixed
+    representative of {m, -m}."""
+    arr, den = _normalize(arr, den)
+    flat = arr.reshape(len(arr), -1)
+    first = flat[np.arange(len(arr)), (flat != 0).argmax(axis=1)]
+    sign = np.where(first < 0, -1, 1).reshape((-1,) + (1,) * (arr.ndim - 1))
+    return arr * sign, den
+
+
+def _bfs(gens):
+    """Breadth-first closure of the identity under left multiplication by
+    gens, each product taken to its representative up to sign.
 
     Yields (matrix, matrix key, parent index, generator index) for each new
     element in the order of the one-at-a-time search: frontier order, then
-    generator order.  The frontier is taken _BLOCK elements at a time, and
-    all their products with the distinct generator matrices are one kernel
-    call, canonicalized and keyed as one stack; only the new elements are
-    copied out of it.  The distinct generators are fixed for the whole
-    search, so their products are one matmul per block against their
-    stacked multiplication matrix (cycmatrix._mul_matrix), built once."""
-    field = start.field
-    n = start.rows
+    generator order; the identity, index 0, is not yielded.  The frontier is
+    taken _BLOCK elements at a time, and all their products with the
+    distinct generator matrices (up to sign) are one kernel call, normalized
+    and keyed as one stack; only the new elements are copied out of it.  The
+    distinct generators are fixed for the whole search, so their products
+    are one matmul per block against their stacked multiplication matrix
+    (cycmatrix._mul_matrix), built once."""
+    field = gens[0].field
+    n = gens[0].rows
     d = field.degree
-    # one product per distinct generator matrix (canonically rho(s)^-1 = rho(s))
-    slot, distinct = {}, []
-    for g in gens:
-        if g.key() not in slot:
-            slot[g.key()] = len(distinct)
-            distinct.append(g)
-    slots = [slot[g.key()] for g in gens]
+    # one product per distinct generator up to sign (m_s^-1 = +-m_s)
+    garr, gden = _up_to_sign(np.stack([g.arr for g in gens]), [g.den for g in gens])
+    gkeys = _stack_keys(garr, gden)
+    distinct = list(dict.fromkeys(gkeys))
+    slots = [distinct.index(k) for k in gkeys]
+    first = [gkeys.index(k) for k in distinct]
     u = len(distinct)
+    gden = gden[first]
     # entries commute, so g @ m = (m^T g^T)^T: a block is its stacked m^T
     # times the multiplication matrix gmul (n d, u n d) of [g_1^T ... g_u^T]
-    stacked = np.concatenate([g.arr for g in distinct])  # (u n, n, d)
-    gmul = _mul_matrix(field, stacked.transpose(1, 0, 2))
+    gmul = _mul_matrix(field, np.concatenate(garr[first]).transpose(1, 0, 2))
 
+    start = CycMatrix.identity(field, n)
     frontier = [start]
     seen = {start.key()}
     head = 0
@@ -192,7 +151,8 @@ def _bfs(gens, start):
         operand = np.concatenate([m.arr.transpose(1, 0, 2) for m in block])
         raw = _mul_product(operand, gmul).reshape(b, n, u, n, d)  # (b, l, g, i)
         raw = raw.transpose(0, 2, 3, 1, 4).reshape(b * u, n, n, d)
-        arr, dens = _canonical_stack(field, raw)
+        dens = np.array([m.den for m in block], dtype=object)[:, None] * gden
+        arr, dens = _up_to_sign(raw, dens.reshape(-1))
         keys = _stack_keys(arr, dens)
         new = []
         for i in range(b):
@@ -210,29 +170,28 @@ def _bfs(gens, start):
 
 
 def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
-    """BFS closure of the projective classes of `gens` under left
-    multiplication.  Exceeding max_order is reported through complete=False
-    rather than raised: not terminating within the bound is a finding."""
+    """BFS closure of the group generated by `gens` modulo +-I, under left
+    multiplication: each element is kept as its representative up to sign.
+    For the certified lift, whose only scalars are +-I, that is the
+    projective image.  Exceeding max_order is reported through
+    complete=False rather than raised: not terminating within the bound is
+    a finding."""
     if not gens:
         raise ValueError("need at least one generator")
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     if names is None:
         names = tuple(f"g{i}" for i in range(len(gens)))
-    field = gens[0].field
-    n = gens[0].rows
-    gens_c = [canonicalize(g).mat for g in gens]
-
-    ident = canonicalize(CycMatrix.identity(field, n))
+    ident = CycMatrix.identity(gens[0].field, gens[0].rows)
     elements = {ident.key(): ident}
     words = {ident.key(): ""}
     order = [""]  # words in discovery order
     complete = True
-    for mat, key, parent, j in _bfs(gens_c, ident.mat):
+    for mat, key, parent, j in _bfs(gens):
         if len(elements) >= max_order:
             complete = False
             break
-        elements[key] = ProjMatrix(mat)
+        elements[key] = mat
         words[key] = names[j] + order[parent]
         order.append(words[key])
     return GroupClosure(
@@ -245,9 +204,16 @@ def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
 
 
 def so3_generators(r: int):
-    """(names, matrices) for s, t and their inverses in the genus-1 pair."""
+    """(names, matrices) for s, t and their inverses in the linear lift
+    (m_s, m_t) = (lambda_s rho(s), lambda_t rho(t)) of linear_lift_report.
+    The lift is unitary, so each inverse is exactly m^dagger.  Raises
+    ArithmeticError when there is no lift."""
     rho_s, rho_t = rho_genus1(r)
-    return ("s", "t", "S", "T"), (rho_s, rho_t, proj_inverse(rho_s), proj_inverse(rho_t))
+    lift = _lift_scalars(rho_s, rho_t, r)
+    if lift is None:
+        raise ArithmeticError("the genus-1 pair has no linear lift")
+    m_s, m_t = rho_s.scalar_mul(lift[0]), rho_t.scalar_mul(lift[1])
+    return ("s", "t", "S", "T"), (m_s, m_t, m_s.conj_transpose(), m_t.conj_transpose())
 
 
 def weil_generators(r: int):
@@ -279,12 +245,15 @@ def so3_closure(r: int, max_order: int = 10**7) -> GroupClosure:
 def weil_image_equality(r: int) -> bool:
     """The odd Weil pair and the genus-1 pair generate the same projective
     image.  After the exact odd-block identification (the two pairs are
-    scalar multiples of each other), the canonical Weil generators must
-    equal the canonical genus-1 generators in order, so the two closures
-    are one and the same search."""
+    scalar multiples of each other), the canonical Weil generators and
+    their inverses must equal those of rho(s), rho(t) in order, so the two
+    closures are one and the same search.  The comparison is with the
+    unlifted pair, so it needs no lift."""
     verify_odd_block_identification(r)  # the scalar identification; raises on mismatch
+    rho_s, rho_t = rho_genus1(r)
+    genus1 = (rho_s, rho_t, proj_inverse(rho_s), proj_inverse(rho_t))
     keys = lambda gens: [canonicalize(g).key() for g in gens]
-    return keys(weil_generators(r)[1]) == keys(so3_generators(r)[1])
+    return keys(weil_generators(r)[1]) == keys(genus1)
 
 
 def weil_closure(r: int, max_order: int = 10**7) -> GroupClosure:
@@ -435,25 +404,12 @@ def _psl2_order(g, r: int) -> int:
     return k
 
 
-def _prime_divisors(n: int):
-    """The distinct primes dividing n, by trial division."""
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            yield q
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        yield n
-
-
 def _certified_order(letter: _Letter, d: int):
     """d when the projective class of letter.mat has order exactly d, that
     is, mat^d is scalar and mat^(d/q) is not for any prime q | d; else None."""
     if not letter.power(d).is_scalar():
         return None
-    if any(letter.power(d // q).is_scalar() for q in _prime_divisors(d)):
+    if any(letter.power(d // q).is_scalar() for q in prime_divisors(d)):
         return None
     return d
 

@@ -1,11 +1,13 @@
-"""Level helpers shared by every module: primality, the level check (r an odd
-prime >= 5), the SO(3) label set, the levels with character tables and
-products in SL2(F_r).  Plain integers only, so that a caller which needs
-nothing more never loads numpy."""
+"""Level helpers shared by every module: primality, prime divisors, the level
+check (r an odd prime >= 5), the SO(3) label set, the levels with character
+tables and products in SL2(F_r).  Plain integers only, so that a caller which
+needs nothing more never loads numpy."""
 
 from __future__ import annotations
 
-__all__ = ["is_prime", "is_odd_prime", "so3_labels", "sl2_mul", "SUPPORTED_RANGE"]
+__all__ = [
+    "is_prime", "is_odd_prime", "prime_divisors", "so3_labels", "sl2_mul", "SUPPORTED_RANGE"
+]
 
 # levels whose SL2(F_r) character tables sl2_char builds
 SUPPORTED_RANGE = (5, 13)
@@ -39,6 +41,18 @@ def is_prime(n: int) -> bool:
 
 def is_odd_prime(r: int) -> bool:
     return r % 2 == 1 and is_prime(r)
+
+
+def prime_divisors(n: int) -> list:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
 
 
 def _require_level(r: int):

@@ -262,19 +262,22 @@ def calibrate_lens_word_sign(md: ModularData, max_p: int = 6):
 def norm_survey(md: ModularData, max_word_len: int) -> dict:
     """All |<e_0, rho(w) e_0>| over words w in {s, t} of length at most
     max_word_len.  Words reaching the same projective class give the same
-    norm, so the search runs on canonical classes while keeping one linear
-    representative per class; it stops early once no new classes appear.
+    norm, so the survey walks finite_image's search over the linear lift
+    (m_s, m_t), one class per element up to sign, to the depth
+    max_word_len; it stops early once no new classes appear.  The lift
+    scales rho by roots of unity, so x * conj(x) of entry (0, 0), the
+    bucket key, is that of rho(w).
 
-    The distinct-value count is finite and bounded by the closure order,
-    in contrast with the higher-genus situation."""
-    from .finite_image import canonicalize, so3_closure
+    The distinct-value count is finite and bounded by the order of the
+    projective image, certified by identify_group, in contrast with the
+    higher-genus situation."""
+    from .finite_image import _bfs, identify_group, so3_generators
 
     if max_word_len > MAX_SURVEY_LEN:
         raise ValueError(f"survey capped at word length {MAX_SURVEY_LEN}")
     if max_word_len < 0:
         raise ValueError("survey word length must be non-negative")
-    rho_s, rho_t = rho_genus1(md.r)
-    ident = CycMatrix.identity(md.field, len(md.labels))
+    m_s, m_t = so3_generators(md.r)[1][:2]
 
     # exact |m[0, 0]|^2 -> [|m[0, 0]| of its first class, rounded; class count]
     buckets = {}
@@ -283,36 +286,25 @@ def norm_survey(md: ModularData, max_word_len: int) -> dict:
         x = m[(0, 0)]
         buckets.setdefault(x * x.conj(), [round(abs(x.embed()), 12), 0])[1] += 1
 
-    seen = {canonicalize(ident).key()}
-    frontier = [ident]
-    count(ident)
-    saturation_length = max_word_len
-    for length in range(1, max_word_len + 1):
-        nxt = []
-        for m in frontier:
-            for g in (rho_s, rho_t):
-                prod = g @ m
-                key = canonicalize(prod).key()
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(prod)
-                    count(prod)
-        frontier = nxt
-        if not frontier:
-            saturation_length = length - 1
+    count(CycMatrix.identity(md.field, len(md.labels)))
+    depth = [0]  # word length of each class, in discovery order
+    for m, _, parent, _ in _bfs((m_s, m_t)):
+        if depth[parent] == max_word_len:
             break
+        depth.append(depth[parent] + 1)
+        count(m)
 
-    closure_order = so3_closure(md.r).order
+    closure_order = identify_group(md.r)["order"]
     histogram = sorted(buckets.values())
     values = [v for v, _ in histogram]
     return {
         "r": md.r,
         "max_word_len": max_word_len,
-        "classes_reached": len(seen),
+        "classes_reached": len(depth),
         "distinct_value_count": len(values),
         "closure_order": closure_order,
-        "bounded_by_closure": len(values) <= closure_order,
-        "saturation_length": saturation_length,
+        "bounded_by_closure": closure_order is not None and len(values) <= closure_order,
+        "saturation_length": depth[-1],
         "values": values,
         "histogram": {str(v): c for v, c in histogram},
     }

@@ -77,15 +77,9 @@ class ModularData:
     p_plus: CycNumber
     p_minus: CycNumber
 
-    def a(self) -> CycNumber:
-        return a_root(self.r)
-
     def theta_power(self, label: int, n: int) -> CycNumber:
         """theta_label^n as a single root-of-unity lookup (n may be negative)."""
         return self.field.zeta_power((self.r + 1) * label * (label + 2) * n)
-
-    def label_index(self, label: int) -> int:
-        return self.labels.index(label)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cyclo import CycField, CycNumber, get_field, work_dtype
 from .cycmatrix import CycMatrix, _product
-from .levels import SUPPORTED_RANGE, is_odd_prime, is_prime, sl2_mul
+from .levels import SUPPORTED_RANGE, is_odd_prime, is_prime, prime_divisors, sl2_mul
 
 __all__ = [
     "FiniteGroup",
@@ -163,17 +163,7 @@ def sl2_group(r: int) -> FiniteGroup:
 
 def _primitive_root(p):
     """Smallest generator of F_p^*, p prime."""
-    fac = []
-    m = p - 1
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            fac.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        fac.append(m)
+    fac = prime_divisors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g

@@ -31,13 +31,14 @@ from so3tqft.levels import sl2_mul
 from so3tqft.sl2_char import sl2_inv
 
 
-# The one-element-at-a-time search that the batched search replaced, kept
-# here as the oracle for its element order, words and cut-offs.
+# The one-element-at-a-time projective search that the batched search up to
+# sign replaced, kept here as the oracle for its element order, words and
+# cut-offs: each class divided by its first nonzero entry.
 
 
 def reference_closure(gens, max_order=10**7, names=None):
     names = names or tuple(f"g{i}" for i in range(len(gens)))
-    gens_c = [canonicalize(g).mat for g in gens]
+    gens_c = [canonicalize(g) for g in gens]
     ident = canonicalize(CycMatrix.identity(gens[0].field, gens[0].rows))
     elements = {ident.key(): ident}
     words = {ident.key(): ""}
@@ -45,7 +46,7 @@ def reference_closure(gens, max_order=10**7, names=None):
     while queue:
         cur = queue.popleft()
         for name, g in zip(names, gens_c):
-            nxt = canonicalize(g @ cur.mat)
+            nxt = canonicalize(g @ cur)
             if nxt.key() not in elements:
                 if len(elements) >= max_order:
                     return elements, words, False
@@ -62,9 +63,8 @@ def test_batched_closure_matches_one_at_a_time_search(r, which):
     gc = (so3_closure if which == "so3" else weil_closure)(r)
     elements, words, complete = reference_closure(gens, names=names)
     assert gc.complete and complete
-    assert list(gc.elements) == list(elements)
-    assert list(gc.generator_words.items()) == list(words.items())
-    assert all(gc.elements[k] == elements[k] for k in elements)
+    assert list(gc.generator_words.values()) == list(words.values())
+    assert [canonicalize(m) for m in gc.elements.values()] == list(elements.values())
 
 
 def test_max_order_cut_off_matches_one_at_a_time_search():
@@ -73,16 +73,19 @@ def test_max_order_cut_off_matches_one_at_a_time_search():
         gc = closure(gens, max_order=m, names=names)
         elements, words, complete = reference_closure(gens, max_order=m, names=names)
         assert gc.complete == complete == (m == 60)
-        assert list(gc.elements) == list(elements)
-        assert gc.generator_words == words
+        assert list(gc.generator_words.values()) == list(words.values())
+        assert [canonicalize(x) for x in gc.elements.values()] == list(elements.values())
 
 
 def test_closure_through_python_int_work_arrays(monkeypatch):
-    # every product on object arrays: keys and order must not depend on it
+    # every product on object arrays: keys and order must not depend on it.
+    # _tier is the work-dtype choice of both product paths.
     names, gens = so3_generators(5)
     want = closure(gens, names=names)
-    monkeypatch.setattr(cycmatrix, "_product_dtype", lambda *args: object)
+    bounds = []
+    monkeypatch.setattr(cycmatrix, "_tier", lambda bound: bounds.append(bound) or object)
     got = closure(gens, names=names)
+    assert bounds
     assert list(got.elements) == list(want.elements)
     assert got.generator_words == want.generator_words
 
@@ -111,7 +114,7 @@ def test_canonicalize_scalar_collapse():
     f = md.field
     ident = CycMatrix.identity(f, 2)
     three_i = ident.scalar_mul(f.from_int(3))
-    assert canonicalize(three_i).mat == ident
+    assert canonicalize(three_i) == ident
     rho_s, _ = rho_genus1(5)
     zeta_s = rho_s.scalar_mul(f.zeta_power(3))
     assert canonicalize(zeta_s) == canonicalize(rho_s)
@@ -127,10 +130,10 @@ def test_canonicalize_idempotent_on_random_words():
         for _ in range(rng.randint(1, 6)):
             m = m @ (rho_s if rng.random() < 0.5 else rho_t)
         c1 = canonicalize(m)
-        c2 = canonicalize(c1.mat)
+        c2 = canonicalize(c1)
         assert c1 == c2
-        first = next(e for e in c1.mat.entries if not e.is_zero())
-        assert first == c1.mat.field.one
+        first = next(e for e in c1.entries if not e.is_zero())
+        assert first == c1.field.one
 
 
 def test_identity_closure():
@@ -168,15 +171,23 @@ def test_bfs_deterministic():
 
 
 def test_closure_invariant_under_scalar_twist():
-    md = build_modular_data(5)
-    f = md.field
-    rho_s, rho_t = rho_genus1(5)
-    base = closure([rho_s, rho_t])
-    twisted = closure(
-        [rho_s.scalar_mul(f.zeta_power(7)), rho_t.scalar_mul(f.from_int(2))]
-    )
-    assert twisted.order == base.order
-    assert set(twisted.elements.keys()) == set(base.elements.keys())
+    for r in (5, 7):
+        names, gens = so3_generators(r)
+        base = closure(gens, names=names)
+        # the search is up to sign, so flipping any generators changes nothing
+        for flips in range(1, 1 << len(gens)):
+            flipped = [-g if flips >> i & 1 else g for i, g in enumerate(gens)]
+            got = closure(flipped, names=names)
+            assert list(got.elements) == list(base.elements)
+            assert got.generator_words == base.generator_words
+        # G = <m_s, m_t> is perfect, so <m_s, zeta_r m_t> contains its
+        # commutators G, hence zeta_r I, and is G x mu_r: only +-I is divided out
+        zeta_r = gens[0].field.zeta_power(4)
+        m_s, m_t, inv_s, inv_t = gens
+        twisted = (m_s, m_t.scalar_mul(zeta_r), inv_s, inv_t.scalar_mul(zeta_r.conj()))
+        got = closure(twisted, names=names)
+        assert got.complete
+        assert got.order == r * base.order == {5: 300, 7: 1176}[r]
 
 
 def test_projective_generator_orders():

@@ -231,6 +231,84 @@ def test_norm_survey():
         norm_survey(md, 30)
 
 
+def _reference_survey(md, max_word_len):
+    """The survey's own one-class-at-a-time search over rho(s), rho(t), with
+    each class divided by its first nonzero entry, kept as the oracle; the
+    closure order is that of the enumeration."""
+    from so3tqft.finite_image import canonicalize, so3_closure
+
+    rho_s, rho_t = rho_genus1(md.r)
+    ident = CycMatrix.identity(md.field, len(md.labels))
+    buckets = {}
+
+    def count(m):
+        x = m[(0, 0)]
+        buckets.setdefault(x * x.conj(), [round(abs(x.embed()), 12), 0])[1] += 1
+
+    seen = {canonicalize(ident).key()}
+    frontier = [ident]
+    count(ident)
+    saturation_length = max_word_len
+    for length in range(1, max_word_len + 1):
+        nxt = []
+        for m in frontier:
+            for g in (rho_s, rho_t):
+                prod = g @ m
+                key = canonicalize(prod).key()
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(prod)
+                    count(prod)
+        frontier = nxt
+        if not frontier:
+            saturation_length = length - 1
+            break
+
+    closure_order = so3_closure(md.r).order
+    histogram = sorted(buckets.values())
+    values = [v for v, _ in histogram]
+    return {
+        "r": md.r,
+        "max_word_len": max_word_len,
+        "classes_reached": len(seen),
+        "distinct_value_count": len(values),
+        "closure_order": closure_order,
+        "bounded_by_closure": len(values) <= closure_order,
+        "saturation_length": saturation_length,
+        "values": values,
+        "histogram": {str(v): c for v, c in histogram},
+    }
+
+
+@pytest.mark.parametrize("r", PRIMES)
+def test_norm_survey_matches_one_class_at_a_time_search(r):
+    md = build_modular_data(r)
+    for length in (0, 1, 8, 20):
+        assert norm_survey(md, length) == _reference_survey(md, length), length
+
+
+def test_norm_survey_takes_the_certified_order(monkeypatch):
+    import so3tqft.finite_image as finite_image
+
+    def enumerate_(*args, **kwargs):
+        raise AssertionError("the survey enumerated the image")
+
+    monkeypatch.setattr(finite_image, "so3_closure", enumerate_)
+    monkeypatch.setattr(finite_image, "_genus1_closure", enumerate_)
+    report = norm_survey(build_modular_data(31), 3)
+    assert report["closure_order"] == 31 * (31 * 31 - 1) // 2 == 14880
+    assert report["bounded_by_closure"]
+
+
+def test_norm_survey_is_unbounded_without_a_certificate(monkeypatch):
+    import so3tqft.finite_image as finite_image
+
+    monkeypatch.setattr(finite_image, "identify_group", lambda r: {"order": None})
+    report = norm_survey(build_modular_data(5), 2)
+    assert report["closure_order"] is None
+    assert not report["bounded_by_closure"]
+
+
 def _dense_word_product(md, word):
     """The oracle: one dense product per letter, rho(t)^-1 = T built entry
     by entry from the twists."""
