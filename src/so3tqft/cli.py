@@ -87,6 +87,15 @@ class CapacityError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach main, which reports
+    them as "error: ..." (then the usage line) with exit code 2, instead
+    of exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentTypeError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _complex_pair(z):
     return [z.real, z.imag]
 
@@ -311,6 +320,7 @@ def _cmd_chartab(args):
         raise CapacityError(f"character tables capped at r <= {SUPPORTED_RANGE[1]}")
     tbl = sl2_table(r)
     k = tbl.num_classes()
+    rows = tbl.char_table
     report = {
         "schema": "1",
         "inputs": {
@@ -326,13 +336,13 @@ def _cmd_chartab(args):
         "degrees": tbl.degrees,
         "dixon_prime": tbl.dixon_prime,
         "exponent": tbl.group.exponent,
-        "char_table": [[_cyc_json(v) for v in row] for row in tbl.char_table],
+        "char_table": [[_cyc_json(v) for v in row] for row in rows],
         "chi_beta_minus_one": chi_beta_report(r)["all_values_minus_one"],
         "csv_rows": [["degree"] + [f"class{i}" for i in range(k)]]
         + [
             [tbl.degrees[a]]
             + [f"{v.embed().real:.12g}{v.embed().imag:+.12g}j" for v in row]
-            for a, row in enumerate(tbl.char_table)
+            for a, row in enumerate(rows)
         ],
     }
     failures = []
@@ -503,7 +513,7 @@ def _cmd_verify_all(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="so3tqft",
         description="Exact computations with level-r modular data, the odd "
         "Weil representation, fusion dimensions and 3-manifold invariants.",
@@ -516,7 +526,6 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--csv", action="store_true", help="CSV output")
         p.add_argument("--out", help="write output to this path")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
 
     p = sub.add_parser("modular-data", help="labels, quantum dimensions, twists, S/T data")
     add_common(p)
@@ -554,6 +563,7 @@ def build_parser():
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     p.set_defaults(fn=_cmd_verify_all)
 
     return parser
@@ -561,8 +571,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _require_level(args.r)
         if args.r > MAX_LEVEL:
             raise CapacityError(f"level capped at r <= {MAX_LEVEL}")

@@ -214,12 +214,6 @@ class CycMatrix:
         return CycMatrix._from_array(field, arr, 1)
 
     @staticmethod
-    def diagonal(field, diag):
-        n = len(diag)
-        flat = [diag[i] if i == j else field.zero for i in range(n) for j in range(n)]
-        return CycMatrix(field, n, n, flat)
-
-    @staticmethod
     def roots(field, ks, cols=None):
         """The square monomial matrix whose row i holds zeta_N^ks[i] in
         column cols[i], or on the diagonal when cols is None: read off the

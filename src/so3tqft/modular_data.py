@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclo import CycField, CycNumber, get_field, sqrt_r
 from .cycmatrix import CycMatrix, _Letter
 from .levels import _require_level, so3_labels
@@ -39,25 +41,25 @@ def a_root(r: int) -> CycNumber:
     return get_field(4 * r).zeta_power(r + 1)
 
 
-def a_power(field: CycField, r: int, e: int) -> CycNumber:
-    return field.zeta_power((r + 1) * e)
+def _quantum_integer_rows(r: int):
+    """The (r, degree) coefficient array of [q] = (A^2q - A^-2q)/(A^2 - A^-2),
+    0 <= q < r, over Q(zeta_{4r}); [k] is row k mod r.
+
+    [q] is the geometric sum of the q roots A^{2(q-1-2m)}, 0 <= m < q.  A^2
+    has order r, so [k + r] = [k], and for q < r those q exponents of A^2
+    are distinct mod r: the sum is a 0/1 count of each power of A^2 times
+    the power table."""
+    f = get_field(4 * r)
+    q, m = np.nonzero(np.tri(r, r, -1, dtype=bool))  # m < q
+    counts = np.zeros((r, r), dtype=np.int64)
+    counts[q, (q - 1 - 2 * m) % r] = 1
+    return counts @ f.pw[2 * (r + 1) * np.arange(r) % (4 * r)]
 
 
 def quantum_integer(k: int, r: int) -> CycNumber:
-    """[k] = (A^2k - A^-2k)/(A^2 - A^-2), evaluated division-free as the
-    geometric sum A^{2(k-1)} + A^{2(k-3)} + ... + A^{-2(k-1)}.
-
-    A^2 has order r, so [k + r] = [k] and [r - k] = -[k]: k is reduced to
-    0 <= k <= (r-1)/2 first, and the sum has at most (r-1)/2 terms."""
+    """[k] = (A^2k - A^-2k)/(A^2 - A^-2), exactly (see _quantum_integer_rows)."""
     _require_level(r)
-    k %= r
-    if k > r // 2:
-        return -quantum_integer(r - k, r)
-    f = get_field(4 * r)
-    acc = f.zero
-    for m in range(k):
-        acc = acc + a_power(f, r, 2 * (k - 1 - 2 * m))
-    return acc
+    return CycNumber(get_field(4 * r), _quantum_integer_rows(r)[k % r].tolist())
 
 
 @dataclass(frozen=True)
@@ -87,35 +89,26 @@ def build_modular_data(r: int) -> ModularData:
     _require_level(r)
     f = get_field(4 * r)
     labels = tuple(so3_labels(r))
-    k = len(labels)
-    assert k == (r - 1) // 2
+    assert len(labels) == (r - 1) // 2
 
-    qdim = {l: quantum_integer(l + 1, r) for l in labels}
-    twist = {l: a_power(f, r, l * (l + 2)) for l in labels}
-
-    s_tilde = CycMatrix.from_rows(
-        f,
-        [[quantum_integer((li + 1) * (lj + 1), r) for lj in labels] for li in labels],
-    )
+    # S~[i, j] = [(l_i + 1)(l_j + 1)]; row 0 (l_0 = 0) holds the qdims
+    l1 = np.array(labels) + 1
+    s_tilde = CycMatrix._from_array(f, _quantum_integer_rows(r)[np.outer(l1, l1) % r], 1)
+    qdim = dict(zip(labels, s_tilde.row(0)))
+    twist = {l: f.zeta_power((r + 1) * l * (l + 2)) for l in labels}  # A^{l(l+2)}
 
     # D = sqrt(r) / (2 sin(pi/r)); 2 sin(pi/r) = -i (zeta_2r - zeta_2r^-1)
     two_sin = (f.zeta_power(2) - f.zeta_power(-2)) * f.zeta_power(-r)
     global_dim = sqrt_r(r) / two_sin
-    sum_d_sq = f.zero
-    for l in labels:
-        sum_d_sq = sum_d_sq + qdim[l] * qdim[l]
-    if global_dim * global_dim != sum_d_sq:
+    d_sq = {l: qdim[l] * qdim[l] for l in labels}
+    if global_dim * global_dim != sum(d_sq.values(), f.zero):
         raise ArithmeticError("global dimension identity D^2 = sum d_i^2 failed")
 
     global_dim_inv = global_dim.inv()
     s_unitary = s_tilde.scalar_mul(global_dim_inv)
 
-    p_plus = f.zero
-    p_minus = f.zero
-    for l in labels:
-        dsq = qdim[l] * qdim[l]
-        p_plus = p_plus + twist[l] * dsq
-        p_minus = p_minus + twist[l].conj() * dsq
+    p_plus = sum((twist[l] * d_sq[l] for l in labels), f.zero)
+    p_minus = sum((twist[l].conj() * d_sq[l] for l in labels), f.zero)
 
     return ModularData(
         r=r,

@@ -9,10 +9,13 @@ and p > 2 sqrt(|G|), normalize to central characters, recover degrees
 through orthogonality mod p, and lift each character value exactly by
 reading off root-of-unity multiplicities with a discrete Fourier transform
 mod p.  The eigenvectors come from one matrix M(x) = sum_i x^i M_i with k
-distinct eigenvalues: its eigenspaces are lines that every M_i preserves.
-The lifted values are CycNumber elements of Q(zeta_exponent).  Row and
-column orthogonality are then each verified as one exact CycMatrix
-identity.
+distinct eigenvalues: its eigenspaces are lines that every M_i preserves,
+each the column space of a projection prod_{mu != lambda} (M(x) - mu I).
+Every stage works on integer arrays, the lift as one matmul per class, and
+the result is one packed table: FiniteGroupTable.values, a CycMatrix over
+Q(zeta_exponent) holding chi_a(g_i) at (a, i).  Row and column
+orthogonality are each verified as one exact identity on it; CycNumber
+entries are built only where a caller asks for them.
 
 Tensor-product multiplicities M[a, b, c] = <chi_a chi_b, chi_c> are read off
 for all (a, b, c) at once mod p and then certified: for every class i the
@@ -30,8 +33,8 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .cyclo import CycField, CycNumber, get_field, work_dtype
-from .cycmatrix import CycMatrix, _product
+from .cyclo import get_field, work_dtype
+from .cycmatrix import CycMatrix, _max_abs, _product
 from .levels import SUPPORTED_RANGE, is_odd_prime, is_prime, prime_divisors, sl2_mul
 
 __all__ = [
@@ -126,18 +129,25 @@ class FiniteGroup:
         return o
 
     def class_mult_tensor(self):
-        """a[i][j][k] with K_i K_j = sum_k a_ijk K_k, computed by counting
-        x in C_i with x^-1 z_k in C_j for one representative z_k per class."""
-        k = self.num_classes()
-        a = [[[0] * k for _ in range(k)] for _ in range(k)]
-        for kk in range(k):
-            z = self.class_reps[kk]
-            for i in range(k):
-                row = a[i]
-                for xi in self.classes[i]:
-                    y = sl2_mul(sl2_inv(self.elements[xi], self.r), z, self.r)
-                    row[self.class_of[self.index[y]]][kk] += 1
-        return a
+        """The (k, k, k) int64 array a with K_i K_j = sum_l a[i, j, l] K_l:
+        a[i, j, l] counts the x in C_i with x^-1 z_l in C_j, for one
+        representative z_l per class.  All k n products x^-1 z_l are formed
+        at once on the entries mod r, and their classes read from a table
+        indexed by the entries."""
+        r, k = self.r, self.num_classes()
+
+        def code(a, b, c, d):
+            return ((a * r + b) * r + c) * r + d
+
+        a, b, c, d = np.array(self.elements, dtype=np.int64).T
+        class_at = np.zeros(r**4, dtype=np.int64)
+        class_at[code(a, b, c, d)] = self.class_of
+        # x^-1 = [[d, -b], [-c, a]] times z_l = [[z0, z1], [z2, z3]]: (k, n)
+        z0, z1, z2, z3 = np.array(self.class_reps, dtype=np.int64).T[:, :, None]
+        j = class_at[code((d * z0 - b * z2) % r, (d * z1 - b * z3) % r,
+                          (a * z2 - c * z0) % r, (a * z3 - c * z1) % r)]
+        flat = (np.array(self.class_of) * k + j) * k + np.arange(k)[:, None]
+        return np.bincount(flat.ravel(), minlength=k**3).reshape(k, k, k)
 
 
 def _check_desk_scale(r):
@@ -197,37 +207,6 @@ def _dixon_primes(order, exponent):
         p += 1
 
 
-def _nullspace(mat, p):
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    m = [row[:] for row in mat]
-    piv = []
-    rr = 0
-    for c in range(cols):
-        pr = next((rw for rw in range(rr, rows) if m[rw][c] % p), None)
-        if pr is None:
-            continue
-        m[rr], m[pr] = m[pr], m[rr]
-        iv = pow(m[rr][c], p - 2, p)
-        m[rr] = [(x * iv) % p for x in m[rr]]
-        for rw in range(rows):
-            if rw != rr and m[rw][c] % p:
-                fct = m[rw][c]
-                m[rw] = [(x - fct * y) % p for x, y in zip(m[rw], m[rr])]
-        piv.append(c)
-        rr += 1
-        if rr == rows:
-            break
-    basis = []
-    for fc in (c for c in range(cols) if c not in piv):
-        v = [0] * cols
-        v[fc] = 1
-        for ri, c in enumerate(piv):
-            v[c] = (-m[ri][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def _charpoly_modp(a, p):
     """Coefficients of det(lambda I - a) mod p, constant term first, by
     Faddeev-LeVerrier: 1..k must be units mod p, and k^2 p^2 must fit in
@@ -245,17 +224,22 @@ def _charpoly_modp(a, p):
 
 def _split_eigenvectors(tensor, p, k):
     """Common eigenvectors over F_p of the class-multiplication matrices
-    M_i[j, l] = a_ijl, split by one combination M(x) = sum_i x^i M_i.
+    M_i[j, l] = a_ijl, split by one combination M(x) = sum_i x^i M_i, as
+    the rows of a (k, k) int64 array.
 
     For x = 2, 3, ..., p - 1 the characteristic polynomial of M(x) is
     evaluated at every lambda in F_p; the first x with k distinct roots is
     taken (x = 1 never works: sum_i K_i sends every nontrivial central
     character to 0).  Each M_i commutes with M(x), so it preserves the k
     one-dimensional eigenspaces, and their spanning vectors are common
-    eigenvectors of all class matrices.  Raises ArithmeticError when no x
+    eigenvectors of all class matrices.  The one for a root lambda is the
+    first nonzero column of P = prod_{mu != lambda} (M(x) - mu I):
+    (M(x) - lambda I) P = 0 by Cayley-Hamilton, and P != 0 since the
+    minimal polynomial has all k roots.  Raises ArithmeticError when no x
     has k distinct roots, e.g. when p is not 1 mod the exponent."""
-    mats = np.array(tensor, dtype=np.int64) % p
+    mats = np.asarray(tensor, dtype=np.int64) % p
     lams = np.arange(p, dtype=np.int64)
+    eye = np.eye(k, dtype=np.int64)
     for x in range(2, p):
         powers = np.array([pow(x, i, p) for i in range(k)], dtype=np.int64)
         comb = np.tensordot(powers, mats, axes=1) % p
@@ -264,54 +248,53 @@ def _split_eigenvectors(tensor, p, k):
             vals = (vals * lams + c) % p
         roots = np.flatnonzero(vals == 0)
         if len(roots) == k:
-            return [
-                _nullspace(((comb - lam * np.eye(k, dtype=np.int64)) % p).tolist(), p)[0]
-                for lam in roots
-            ]
+            vecs = []
+            for lam in roots:
+                proj = eye
+                for mu in roots[roots != lam]:
+                    proj = proj @ (comb - mu * eye) % p  # k p^2 fits in int64
+                vecs.append(proj[:, proj.any(axis=0).argmax()])
+            return np.array(vecs)
     raise ArithmeticError("no class-matrix combination has distinct eigenvalues mod p")
 
 
 @dataclass
 class FiniteGroupTable:
-    """Conjugacy data plus the exact character table of a finite group.
-    Character values are CycNumber elements of Q(zeta_exponent)."""
+    """Conjugacy data plus the exact character table of a finite group:
+    `values` holds chi_a(g_i) at (a, i) over Q(zeta_exponent)."""
 
     r: int
     group_name: str
     group: FiniteGroup
     degrees: list = dc_field(default=None)
-    char_table: list = dc_field(default=None)       # [irrep][class] CycNumber
+    values: CycMatrix = dc_field(default=None)      # [irrep, class]
     char_table_modp: list = dc_field(default=None)  # same, residues mod p
     dixon_prime: int = 0
-    value_field: CycField = None
     # [a, b, c] = <chi_a chi_b, chi_c>, certified by _tensor_multiplicities
     tensor_mults: np.ndarray = dc_field(default=None, compare=False)
+
+    @property
+    def value_field(self):
+        return self.values.field
+
+    @property
+    def char_table(self):
+        """The table as rows of CycNumbers, built on every call."""
+        return [self.values.row(a) for a in range(self.values.rows)]
 
     @property
     def class_sizes(self):
         return self.group.class_sizes
 
-    @property
-    def class_reps(self):
-        return self.group.class_reps
-
-    @property
-    def class_of(self):
-        return self.group.class_of
-
-    @property
-    def elements(self):
-        return self.group.elements
-
     def num_classes(self):
         return self.group.num_classes()
 
     def trivial_index(self):
-        one = self.value_field.one
-        for i, row in enumerate(self.char_table):
-            if all(v == one for v in row):
-                return i
-        raise ArithmeticError("trivial character missing")
+        arr = self.values.arr
+        one = (arr[:, :, 0] == self.values.den).all(axis=1) & ~arr[:, :, 1:].any(axis=(1, 2))
+        if not one.any():
+            raise ArithmeticError("trivial character missing")
+        return int(one.argmax())
 
 
 def dixon_char_table(table: FiniteGroupTable) -> FiniteGroupTable:
@@ -335,21 +318,15 @@ def dixon_char_table(table: FiniteGroupTable) -> FiniteGroupTable:
     else:  # pragma: no cover
         raise last_err
 
-    omegas = []
-    for v in eigvecs:
-        sc = pow(v[ident_class], p - 2, p)
-        omegas.append([x * sc % p for x in v])
+    # central characters omega, normalized to 1 at the identity class;
+    # residues stay below p < 2^31, so every product here fits in int64
+    scale = [pow(int(v), p - 2, p) for v in eigvecs[:, ident_class]]
+    omegas = eigvecs * np.array(scale, dtype=np.int64)[:, None] % p
+    inv_sizes = np.array([pow(s, p - 2, p) for s in g.class_sizes], dtype=np.int64)
+    ssums = (omegas * omegas[:, g.inverse_class] % p * inv_sizes % p).sum(axis=1) % p
 
     degrees = []
-    chis_modp = []
-    for w in omegas:
-        ssum = (
-            sum(
-                w[i] * w[g.inverse_class[i]] * pow(g.class_sizes[i], p - 2, p)
-                for i in range(k)
-            )
-            % p
-        )
+    for ssum in ssums.tolist():
         d_sq = n * pow(ssum, p - 2, p) % p
         root = _sqrt_mod(d_sq, p)
         if root is None:
@@ -358,45 +335,37 @@ def dixon_char_table(table: FiniteGroupTable) -> FiniteGroupTable:
         if deg * deg > n:
             raise ArithmeticError("implausible degree")
         degrees.append(deg)
-        chis_modp.append(
-            [deg * w[i] * pow(g.class_sizes[i], p - 2, p) % p for i in range(k)]
-        )
     if sum(d * d for d in degrees) != n:
         raise ArithmeticError("degrees fail sum of squares")
-
-    # exact lift: multiplicities of each m-th root of unity via DFT mod p
-    e = g.exponent
-    f = get_field(e)
-    z = _primitive_root(p)
-    lam_e = pow(z, (p - 1) // e, p)
-    table_exact = []
-    for deg, chi in zip(degrees, chis_modp):
-        row = []
-        for i in range(k):
-            m = g.class_orders[i]
-            lam_m = pow(lam_e, e // m, p)
-            inv_m = pow(m, p - 2, p)
-            mus = []
-            for s in range(m):
-                tot = 0
-                for t in range(m):
-                    tot += chi[g.power_map[i][t]] * pow(lam_m, (-s * t) % (p - 1), p)
-                mu = tot % p * inv_m % p
-                if mu > deg:
-                    raise ArithmeticError("eigenvalue multiplicity out of range")
-                mus.append(mu)
-            # value = sum_s mu_s zeta_m^s, with zeta_m = zeta_e^(e/m)
-            value = np.array(mus, dtype=np.int64) @ f.pw[(e // m) * np.arange(m)]
-            row.append(CycNumber(f, value.tolist()))
-        table_exact.append(row)
+    chis = np.array(degrees, dtype=np.int64)[:, None] * omegas % p * inv_sizes % p
 
     # deterministic row order: by degree, then by mod-p fingerprint
-    order = sorted(range(k), key=lambda i: (degrees[i], tuple(chis_modp[i])))
-    table.degrees = [degrees[i] for i in order]
-    table.char_table = [table_exact[i] for i in order]
-    table.char_table_modp = [chis_modp[i] for i in order]
+    order = sorted(range(k), key=lambda a: (degrees[a], chis[a].tolist()))
+    degrees = [degrees[a] for a in order]
+    chis = chis[order]
+
+    # exact lift: mus[a, s] is the multiplicity of zeta_m^s as an eigenvalue
+    # of g_i in chi_a, read off by one DFT mod p per class; then
+    # chi_a(g_i) = sum_s mus[a, s] zeta_m^s, with zeta_m = zeta_e^(e/m)
+    e = g.exponent
+    f = get_field(e)
+    lam_e = pow(_primitive_root(p), (p - 1) // e, p)
+    max_mu = np.array(degrees)[:, None]
+    values = np.zeros((k, k, f.degree), dtype=np.int64)
+    for i, (m, powers) in enumerate(zip(g.class_orders, g.power_map)):
+        lam_m = pow(lam_e, e // m, p)
+        lam_pows = np.array([pow(lam_m, t, p) for t in range(m)], dtype=np.int64)
+        ts = np.arange(m)
+        dft = lam_pows[-np.outer(ts, ts) % m]  # [t, s] = lam_m^(-st)
+        mus = chis[:, powers] @ dft % p * pow(m, p - 2, p) % p
+        if (mus > max_mu).any():
+            raise ArithmeticError("eigenvalue multiplicity out of range")
+        values[:, i] = mus @ f.pw[(e // m) * ts]
+
+    table.degrees = degrees
+    table.values = CycMatrix._from_array(f, values, 1)
+    table.char_table_modp = chis.tolist()
     table.dixon_prime = p
-    table.value_field = f
 
     _verify_orthogonality(table)
     table.tensor_mults = _tensor_multiplicities(table)
@@ -411,6 +380,14 @@ def _sqrt_mod(a, p):
     return None
 
 
+def _scaled_rows(arr, sizes):
+    """The coefficient array arr (rows, cols, d) with row i times sizes[i],
+    in a dtype that holds the products."""
+    sizes = np.asarray(sizes)
+    dt = work_dtype(int(sizes.max()) * _max_abs(arr))
+    return arr.astype(dt) * sizes.astype(dt)[:, None, None]
+
+
 def _verify_orthogonality(table: FiniteGroupTable):
     """Exact row and column orthogonality over Q(zeta_exponent), each as one
     matrix identity: X D X'^T = n I and X^T X' D = n I, where
@@ -419,15 +396,12 @@ def _verify_orthogonality(table: FiniteGroupTable):
     X^T X' = diag(n / |C_i|)."""
     g = table.group
     k = g.num_classes()
-    f = table.value_field
-    ct = table.char_table
-    x = CycMatrix.from_rows(f, ct)
+    x = table.values
+    f = x.field
     # w = D X'^T, w[i, a] = |C_i| chi_a(g_i^-1): row i of X'^T scaled by
     # |C_i|; its transpose is X' D
-    w = CycMatrix.from_rows(f, [[row[j] for row in ct] for j in g.inverse_class])
-    sizes = np.array(g.class_sizes)
-    dt = work_dtype(int(sizes.max()) * int(np.abs(w.arr).max(initial=0)))
-    w = CycMatrix._from_array(f, w.arr.astype(dt) * sizes.astype(dt)[:, None, None], w.den)
+    x_inv_t = x.arr[:, g.inverse_class].transpose(1, 0, 2)
+    w = CycMatrix._from_array(f, _scaled_rows(x_inv_t, g.class_sizes), x.den)
     n_id = CycMatrix._from_array(f, CycMatrix.identity(f, k).arr * g.order(), 1)
     if x @ w != n_id:
         raise ArithmeticError("row orthogonality failed")
@@ -458,12 +432,11 @@ def _tensor_multiplicities(table: FiniteGroupTable) -> np.ndarray:
     m = m * pow(n, -1, p) % p
 
     f = table.value_field
-    packed = CycMatrix.from_rows(f, table.char_table)
-    if packed.den != 1:
+    if table.values.den != 1:
         raise ArithmeticError("character values are not algebraic integers")
-    arr = packed.arr
+    arr = table.values.arr
     d = f.degree
-    dt = work_dtype(k * (p - 1) * int(np.abs(arr).max(initial=0)))
+    dt = work_dtype(k * (p - 1) * _max_abs(arr))
     flat = m.reshape(k * k, k).astype(dt)
     for i in range(k):
         col = arr[:, i : i + 1, :]
@@ -523,7 +496,7 @@ def chi_beta_report(r: int) -> dict:
     classes = sorted({g.class_of[g.index[x]] for x in regular})
 
     minus_one = -f.one
-    values = {ci: [table.char_table[i][ci] for i in idx] for ci in classes}
+    values = {ci: [table.values[i, ci] for i in idx] for ci in classes}
     return {
         "degree": half,
         "irrep_indices": idx,
@@ -610,26 +583,22 @@ def borel_check(r: int) -> dict:
     n = g.order()
     nb = b.order()
     index = n // nb
-    fg = gt.value_field
+    fg, fb = gt.value_field, bt.value_field
 
-    # every element of a B-class lands in one G-class
-    g_class_of_bclass = [
-        g.class_of[g.index[rep]] for rep in b.class_reps
-    ]
-    lifted = CycMatrix.from_rows(
-        fg, [[v.lift_to(fg) for v in row] for row in bt.char_table]
-    )
+    # the Borel table in Q(zeta_e(G)), e(B) | e(G): zeta_e(B)^j is the
+    # power-table row zeta_e(G)^(j e(G)/e(B))
+    rows = fg.pw[fg.n // fb.n * np.arange(fb.degree)]
+    barr = bt.values.arr
+    dt = work_dtype(fb.degree * _max_abs(barr) * _max_abs(rows))
+    lifted = CycMatrix._from_array(fg, barr.astype(dt) @ rows.astype(dt), bt.values.den)
     # Frobenius reciprocity: <Ind chi, psi>_G = <chi, Res psi>_B, for every
-    # pair at once as (1/|B|) sum_bc chi(bc) |bc| psi(g_bc^-1)
-    restricted = CycMatrix.from_rows(
-        fg,
-        [
-            [row[g.inverse_class[gc]] for row in gt.char_table]
-            for gc in g_class_of_bclass
-        ],
+    # pair at once as (1/|B|) sum_bc chi(bc) |bc| psi(g_bc^-1); every
+    # element of a B-class lands in one G-class
+    g_inv_of_bclass = [g.inverse_class[g.class_of[g.index[x]]] for x in b.class_reps]
+    restricted = gt.values.arr[:, g_inv_of_bclass].transpose(1, 0, 2)
+    prod = lifted @ CycMatrix._from_array(
+        fg, _scaled_rows(restricted, b.class_sizes), gt.values.den
     )
-    sizes = CycMatrix.diagonal(fg, [fg.from_int(s) for s in b.class_sizes])
-    prod = lifted @ (sizes @ restricted)
     num = prod.arr[:, :, 0]
     den = prod.den * nb
     if prod.arr[:, :, 1:].any() or (num % den).any() or (num < 0).any():
@@ -668,17 +637,14 @@ def regular_congruence_check(r: int) -> dict:
     table = sl2_table(r)
     g = table.group
     n = g.order()
-    f = table.value_field
     ident_class = g.class_of[g.index[g.identity]]
 
-    reg_mults = []
-    for i in range(table.num_classes()):
-        # <reg, chi> = (1/|G|) sum_C |C| reg(g_C) conj(chi(g_C)); reg is |G| at 1
-        acc = table.char_table[i][g.inverse_class[ident_class]] * n
-        q = Fraction(acc.as_fraction(), n)
-        if q.denominator != 1:
-            raise ArithmeticError("regular multiplicity is not an integer")
-        reg_mults.append(int(q))
+    # <reg, chi> = (1/|G|) sum_C |C| reg(g_C) conj(chi(g_C)) = chi(1^-1):
+    # reg is |G| at 1 and 0 elsewhere
+    at_one = table.values.arr[:, g.inverse_class[ident_class]]
+    if table.values.den != 1 or at_one[:, 1:].any():
+        raise ArithmeticError("regular multiplicity is not an integer")
+    reg_mults = at_one[:, 0].tolist()
 
     lhs = Fraction(r * r - 2 * r + 3, 2)
     rhs = Fraction(n, 2 * (r + 1))

@@ -217,14 +217,17 @@ def verify_odd_block_identification(r: int) -> dict:
     a2 = f.zeta_power(2 * (r + 1))
     c_s = a2 - a2.conj()  # A^2 - A^-2
     c_t = f.zeta_power(-((r - 1) ** 2))
-    k = len(md.labels)
     blocks = (("S-block", w.r_s_odd, c_s, md.s_tilde), ("T-block", w.r_t_odd, c_t, rho_t))
     for which, odd, c, mat in blocks:
-        for i in range(k):
-            for j in range(k):
-                got, want = odd[(i, j)], c * mat[(i, j)]
-                if got != want:
-                    raise OddBlockMismatch(which, i, j, got, want)
+        want = mat.scalar_mul(c)
+        if odd != want:  # name the first differing entry, in row-major order
+            i, j = next(
+                (i, j)
+                for i in range(odd.rows)
+                for j in range(odd.cols)
+                if odd[i, j] != want[i, j]
+            )
+            raise OddBlockMismatch(which, i, j, odd[i, j], want[i, j])
 
     return {
         "r": r,

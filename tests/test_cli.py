@@ -298,6 +298,7 @@ def test_verify_all_past_the_caps_imports_no_table_or_enumeration():
     [
         ["modular-data", "--r", "5", "--json", "--out", "{tmp}/missing/x.json"],
         ["tau", "--r", "5", "--survey", "-3", "--json"],
+        ["dims", "--r", "5", "--genus", "1", "--seed", "3"],
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):

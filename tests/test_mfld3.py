@@ -317,7 +317,10 @@ def _dense_word_product(md, word):
         "s": rho_s,
         "S": rho_s,
         "t": rho_t,
-        "T": CycMatrix.diagonal(md.field, [md.twist[l] for l in md.labels]),
+        "T": CycMatrix.from_rows(
+            md.field,
+            [[md.twist[l] if l == m else md.field.zero for m in md.labels] for l in md.labels],
+        ),
     }
     out = CycMatrix.identity(md.field, len(md.labels))
     for ch in word:

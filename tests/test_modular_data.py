@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from so3tqft.cycmatrix import CycMatrix
 from so3tqft.cyclo import get_field
+from so3tqft.levels import is_odd_prime
 from so3tqft.modular_data import (
     a_root,
     build_modular_data,
@@ -66,6 +68,31 @@ def test_quantum_integer_by_residue_matches_geometric_sum(r):
         for m in range(n):
             total = total + f.zeta_power(2 * (r + 1) * (n - 1 - 2 * m))
         assert quantum_integer(k, r) == (total if k >= 0 else -total), k
+
+
+def _quantum_integer_by_sum(k, r):
+    """[k] as a sum of CycNumbers: k reduced by [k + r] = [k] and
+    [r - k] = -[k], then the geometric sum of its k roots A^{2(k-1-2m)}."""
+    k %= r
+    if k > r // 2:
+        return -_quantum_integer_by_sum(r - k, r)
+    f = get_field(4 * r)
+    acc = f.zero
+    for m in range(k):
+        acc = acc + f.zeta_power(2 * (r + 1) * (k - 1 - 2 * m))
+    return acc
+
+
+@pytest.mark.parametrize("r", [r for r in range(5, 62) if is_odd_prime(r)])
+def test_s_tilde_and_qdim_match_the_scalar_builder(r):
+    md = build_modular_data(r)
+    labels = md.labels
+    want = CycMatrix.from_rows(
+        md.field,
+        [[_quantum_integer_by_sum((li + 1) * (lj + 1), r) for lj in labels] for li in labels],
+    )
+    assert md.s_tilde == want
+    assert [md.qdim[l] for l in labels] == [_quantum_integer_by_sum(l + 1, r) for l in labels]
 
 
 def test_global_dim():

@@ -4,9 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from so3tqft.cycmatrix import CycMatrix
 from so3tqft.cyclo import CycNumber
+from so3tqft.levels import SUPPORTED_RANGE, is_odd_prime, sl2_mul
 from so3tqft.sl2_char import (
     _dixon_primes,
+    _primitive_root,
     _split_eigenvectors,
     _tensor_multiplicities,
     _verify_orthogonality,
@@ -17,6 +20,7 @@ from so3tqft.sl2_char import (
     regular_congruence_check,
     screen_induction_triples,
     sl2_group,
+    sl2_inv,
     sl2_table,
     tensor_decompose,
 )
@@ -47,6 +51,22 @@ def test_enumerate_group_range():
     assert sl2_group(7).num_classes() == 11
 
 
+@pytest.mark.parametrize("r", (5, 7, 11))
+@pytest.mark.parametrize("group", (sl2_group, borel_group))
+def test_class_mult_tensor_matches_the_counting_loop(group, r):
+    # one x in C_i and one representative z_l at a time, in Python ints
+    g = group(r)
+    k = g.num_classes()
+    want = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for l, z in enumerate(g.class_reps):
+        for i in range(k):
+            for xi in g.classes[i]:
+                y = sl2_mul(sl2_inv(g.elements[xi], r), z, r)
+                want[i][g.class_of[g.index[y]]][l] += 1
+    got = g.class_mult_tensor()
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 def _proportional(v, w, p):
     """v and w are proportional mod p iff every 2x2 minor vanishes."""
     return not ((np.outer(v, w) - np.outer(w, v)) % p).any()
@@ -65,9 +85,13 @@ def test_split_gives_common_eigenvectors(group, r):
     for a in range(k):
         for b in range(a + 1, k):
             assert not _proportional(vecs[a], vecs[b], p)
-    for mat in np.array(tensor, dtype=np.int64) % p:
-        for v in vecs:
-            assert _proportional(mat @ v % p, v, p)
+    # M_i v = lambda_i v (mod p) for every class matrix, lambda_i read off
+    # the first nonzero coordinate of v
+    for v in vecs % p:
+        j = int(np.flatnonzero(v)[0])
+        for mat in np.array(tensor, dtype=np.int64) % p:
+            lam = int(mat[j] @ v) * pow(int(v[j]), -1, p) % p
+            assert not ((mat @ v - lam * v) % p).any()
 
 
 def test_split_raises_when_eigenvalues_are_not_in_f_p():
@@ -322,13 +346,50 @@ def test_orthogonality_rejects_a_conjugated_value():
         for i, v in enumerate(row):
             if v.conj() == v or tampered == 3:
                 continue
+            arr = tbl.values.arr.copy()
+            arr[a, i] = v.conj().num
             bad = copy.copy(tbl)
-            bad.char_table = [row[:] for row in tbl.char_table]
-            bad.char_table[a][i] = v.conj()
+            bad.values = CycMatrix._from_array(tbl.value_field, arr, 1)
             with pytest.raises(ArithmeticError):
                 _verify_orthogonality(bad)
             tampered += 1
     assert tampered == 3
+
+
+def _dft_lift(table):
+    """The exact table by the pure-Python DFT over the residues mod p: for
+    a class of order m, mu_s = (1/m) sum_t chi(g^t) lambda_m^(-st) mod p is
+    the multiplicity of zeta_m^s, one CycNumber per entry."""
+    g = table.group
+    p = table.dixon_prime
+    e = g.exponent
+    f = table.value_field
+    lam_e = pow(_primitive_root(p), (p - 1) // e, p)
+    out = []
+    for chi in table.char_table_modp:
+        row = []
+        for i in range(g.num_classes()):
+            m = g.class_orders[i]
+            lam_m = pow(lam_e, e // m, p)
+            mus = []
+            for s in range(m):
+                tot = 0
+                for t in range(m):
+                    tot += chi[g.power_map[i][t]] * pow(lam_m, (-s * t) % (p - 1), p)
+                mus.append(tot % p * pow(m, p - 2, p) % p)
+            value = np.array(mus, dtype=np.int64) @ f.pw[(e // m) * np.arange(m)]
+            row.append(CycNumber(f, value.tolist()))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize(
+    "r", [r for r in range(SUPPORTED_RANGE[0], SUPPORTED_RANGE[1] + 1) if is_odd_prime(r)]
+)
+@pytest.mark.parametrize("make_table", (sl2_table, borel_table))
+def test_lift_matches_the_pure_python_dft(make_table, r):
+    tbl = make_table(r)
+    assert _dft_lift(tbl) == tbl.char_table
 
 
 def test_tensor_degrees_add_up():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from so3tqft.cyclo import get_field
 from so3tqft.cycmatrix import CycMatrix
 from so3tqft.modular_data import build_modular_data, rho_genus1
+from so3tqft import weil
 from so3tqft.weil import (
     HeisenbergWord,
+    OddBlockMismatch,
     S_GEN,
     T_GEN,
     _restrict_to_odd,
@@ -192,6 +195,20 @@ def test_odd_block_proportional_to_genus1():
         rho_s, rho_t = rho_genus1(r)
         assert w.r_s_odd == md.s_tilde.scalar_mul(rep["s_constant"])
         assert w.r_t_odd == rho_t.scalar_mul(rep["t_constant"])
+
+
+def test_odd_block_mismatch_names_the_changed_entry(monkeypatch):
+    w = build_weil(7)
+    arr = w.r_s_odd.arr.copy()
+    arr[1, 2, 0] += 1
+    changed = CycMatrix._from_array(w.r_s_odd.field, arr, w.r_s_odd.den)
+    monkeypatch.setattr(weil, "build_weil", lambda r: dataclasses.replace(w, r_s_odd=changed))
+    with pytest.raises(OddBlockMismatch) as caught:
+        verify_odd_block_identification(7)
+    assert caught.value.which == "S-block"
+    assert caught.value.position == (1, 2)
+    assert caught.value.got == w.r_s_odd[1, 2] + 1
+    assert caught.value.want == w.r_s_odd[1, 2]
 
 
 @pytest.mark.parametrize(
