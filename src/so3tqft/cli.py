@@ -100,10 +100,6 @@ def _complex_pair(z):
     return [z.real, z.imag]
 
 
-def _cyc_json(x):
-    return x.to_json()
-
-
 def _emit(report, args):
     if args.csv:
         text = _to_csv(report)
@@ -178,14 +174,14 @@ def _cmd_modular_data(args):
         "schema": "1",
         "inputs": {"subcommand": "modular-data", "r": r},
         "labels": list(md.labels),
-        "qdim": {str(l): _cyc_json(md.qdim[l]) for l in md.labels},
+        "qdim": {str(l): md.qdim[l].to_json() for l in md.labels},
         "qdim_embed": {str(l): _complex_pair(md.qdim[l].embed()) for l in md.labels},
-        "twist": {str(l): _cyc_json(md.twist[l]) for l in md.labels},
+        "twist": {str(l): md.twist[l].to_json() for l in md.labels},
         "s_tilde": md.s_tilde.to_json(),
-        "global_dim": _cyc_json(md.global_dim),
+        "global_dim": md.global_dim.to_json(),
         "global_dim_embed": _complex_pair(md.global_dim.embed()),
-        "p_plus": _cyc_json(md.p_plus),
-        "p_minus": _cyc_json(md.p_minus),
+        "p_plus": md.p_plus.to_json(),
+        "p_minus": md.p_minus.to_json(),
         "central_charge_order": central_charge_order(md),
         "spectrum_conjugated": spectrum.conjugated,
         "csv_rows": [["label", "qdim_re", "qdim_im", "twist_re", "twist_im"]]
@@ -320,7 +316,7 @@ def _cmd_chartab(args):
         raise CapacityError(f"character tables capped at r <= {SUPPORTED_RANGE[1]}")
     tbl = sl2_table(r)
     k = tbl.num_classes()
-    rows = tbl.char_table
+    entries = tbl.values.to_json()["entries"]
     report = {
         "schema": "1",
         "inputs": {
@@ -336,15 +332,15 @@ def _cmd_chartab(args):
         "degrees": tbl.degrees,
         "dixon_prime": tbl.dixon_prime,
         "exponent": tbl.group.exponent,
-        "char_table": [[_cyc_json(v) for v in row] for row in rows],
+        "char_table": [entries[a * k : (a + 1) * k] for a in range(k)],
         "chi_beta_minus_one": chi_beta_report(r)["all_values_minus_one"],
-        "csv_rows": [["degree"] + [f"class{i}" for i in range(k)]]
-        + [
+    }
+    if args.csv:
+        report["csv_rows"] = [["degree"] + [f"class{i}" for i in range(k)]] + [
             [tbl.degrees[a]]
             + [f"{v.embed().real:.12g}{v.embed().imag:+.12g}j" for v in row]
-            for a, row in enumerate(rows)
-        ],
-    }
+            for a, row in enumerate(tbl.char_table)
+        ]
     failures = []
     if args.check_ltwo:
         ok = _ltwo_all_pairs(r)
@@ -394,7 +390,7 @@ def _cmd_tau(args):
             "heegaard": args.heegaard,
             "survey": args.survey,
         },
-        "value_exact": _cyc_json(value.value),
+        "value_exact": value.value.to_json(),
         "value_complex": _complex_pair(value.complex_value),
         "norm": value.norm,
         "sigma": signature(chain.linking_matrix()),

@@ -7,26 +7,28 @@ canonical: two elements are equal iff their stored data are equal, so
 CycNumber is hashable and equality is O(1) exact.
 
 Multiplication is one numpy convolution followed by reduction against the
-precomputed rows for z^k, k >= phi(N) (CycField.reduce, shared with the
-matrix kernel in cycmatrix).  Every product runs the same code; only the
-dtype of its work arrays is chosen per call: int64 when a worst-case
-magnitude bound proves it cannot overflow, numpy object arrays of Python ints
-otherwise (work_dtype), so results are exact and identical either way.
+precomputed rows for z^k, k >= phi(N) (CycField.reduce).  Every scalar
+product runs the same code; only the dtype of its work arrays is chosen per
+call: int64 when a worst-case magnitude bound proves it cannot overflow,
+numpy object arrays of Python ints otherwise (work_dtype), so results are
+exact and identical either way.
 
 Inversion is multimodular.  For x = num/den, the inverse of num is
 adj(M) e_0 / det(M), with M the integer matrix of multiplication by num; the
-Hadamard bound on M fixes how many primes p = 1 (mod N), p < 2^31, are
+Hadamard bound on M fixes how many primes p = 1 (mod N), p < 2^20, are
 needed.  Modulo each such prime Phi_N splits into linear factors, so
 adj(M) e_0 and det(M) are found in int64 numpy arithmetic by evaluating num
 at the phi(N) primitive N-th roots of unity mod p, taking products and
 interpolating back.  The Chinese remainder theorem and a symmetric lift give
 the exact integers, and one exact product x * x^-1 == 1 checks the result.
+The primes and their roots are one table per field (CycField.split), which
+the matrix products of cycmatrix share.
 """
 
 from __future__ import annotations
 
 import cmath
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -50,10 +52,10 @@ __all__ = [
 
 
 def _split_primes(n: int):
-    """Primes p = 1 (mod n) below 2^31, largest first.  Phi_n splits into
-    distinct linear factors mod p, and a product of two residues fits in
-    int64."""
-    p = ((1 << 31) - 2) // n * n + 1
+    """Primes p = 1 (mod n) below 2^20, largest first.  Phi_n splits into
+    distinct linear factors mod p, and a sum of fewer than 2^13 products of
+    two residues stays below 2^53, so it is exact in float64."""
+    p = ((1 << 20) - 2) // n * n + 1
     while p > 1:
         if is_prime(p):
             yield p
@@ -96,33 +98,64 @@ def work_dtype(bound: int):
 
 class _SplitTable:
     """The primes of _split_primes(N) in order, each with the phi(N) primitive
-    N-th roots of unity mod p and the inverses of Phi_N' at them.  Empty
-    until used, then extended only as far as one inversion has needed."""
+    N-th roots of unity mod p and the inverses w of Phi_N' at them.  Empty
+    until used, then extended only as far as one inversion or product has
+    needed.  For the primes that some matrix product has needed it also
+    keeps, as float64, the evaluation matrix (row k: the powers of the root
+    alpha_k) and the interpolation matrix (column k: w_k times the
+    coefficients of Phi_N / (x - alpha_k)), so fwd @ coefficients are the
+    values at the roots and back @ values the coefficients again, mod p."""
 
     def __init__(self, n: int, poly):
         self.n = n
         self.poly = poly
         self.units = [e for e in range(n) if gcd(e, n) == 1]
         self.stream = _split_primes(n)
-        self.products = []  # products[i] = p_0 * ... * p_i
+        self.products = [1]  # products[i] = p_0 * ... * p_(i-1)
         d = len(self.units)
         self.p = np.zeros(0, dtype=np.int64)
         self.roots = np.zeros((0, d), dtype=np.int64)
         self.w = np.zeros((0, d), dtype=np.int64)
+        self.fwd = self.back = np.zeros((0, d, d))
 
-    def take(self, bits: int):
-        """(p, roots, w, P) for the shortest prefix of primes whose product P
-        has at least `bits` bits."""
+    def take(self, bound: int):
+        """(p, roots, w, P) for the shortest nonempty prefix of primes whose
+        product P exceeds `bound`."""
+        bound = max(bound, 1)
         new = []
-        prod = self.products[-1] if self.products else 1
-        while prod.bit_length() < bits:
-            new.append(next(self.stream))
-            prod *= new[-1]
-            self.products.append(prod)
+        while self.products[-1] <= bound:
+            p = next(self.stream, None)
+            if p is None:
+                raise OverflowError(f"too few split primes below 2^20 for Q(zeta_{self.n})")
+            new.append(p)
+            self.products.append(self.products[-1] * p)
         if new:
             self._extend(new)
-        k = bisect_left(self.products, bits, key=int.bit_length) + 1
-        return self.p[:k], self.roots[:k], self.w[:k], self.products[k - 1]
+        k = bisect_right(self.products, bound)
+        return self.p[:k], self.roots[:k], self.w[:k], self.products[k]
+
+    def transforms(self, k: int):
+        """(fwd, back), shape (k, d, d): the evaluation and interpolation
+        matrices of the first k primes, k <= len(self.p)."""
+        done = len(self.fwd)
+        if done < k:
+            p = self.p[done:k, None]
+            roots, w = self.roots[done:k], self.w[done:k]
+            d = roots.shape[1]
+            fwd = np.empty((k - done, d, d))
+            back = np.empty_like(fwd)
+            col = np.ones_like(roots)
+            for j in range(d):
+                fwd[:, :, j] = col
+                col = col * roots % p
+            # the recurrence of CycNumber.inv: q_(d-1) = 1, q_(j-1) = c_j + alpha q_j
+            q = np.ones_like(roots)
+            for j in range(d - 1, -1, -1):
+                back[:, j] = w * q % p
+                q = (q * roots + self.poly[j]) % p
+            self.fwd = np.concatenate([self.fwd, fwd])
+            self.back = np.concatenate([self.back, back])
+        return self.fwd[:k], self.back[:k]
 
     def _extend(self, primes):
         n, poly = self.n, self.poly
@@ -224,10 +257,6 @@ class CycField:
         d = self.degree
         return max(ma, mb, ma * mb * terms * d * (1 + d * self.red_max))
 
-    def product_dtype(self, ma: int, mb: int, terms: int = 1):
-        """Integer work dtype for the sum that product_bound bounds."""
-        return work_dtype(self.product_bound(ma, mb, terms))
-
     def reduce(self, full):
         """Reduce convolution coefficients (last axis, length <= 2d - 1)
         modulo Phi_N; the dtype of `full` is kept."""
@@ -235,18 +264,6 @@ class CycField:
         tail = full[..., d:]
         red = self.red_np[: tail.shape[-1]].astype(full.dtype, copy=False)
         return full[..., :d] + tail @ red
-
-    def mul_matrix(self, a):
-        """Multiplication matrices of the elements stored along the last axis
-        of a: shape (..., d, d), row p holding the coefficients of z^p times
-        the element.  The rows are the d shifted copies of its coefficients,
-        reduced; the dtype is the integer one product_dtype picks."""
-        d = self.degree
-        ma = int(np.abs(a).max(initial=0))
-        full = np.zeros(a.shape[:-1] + (d, 2 * d - 1), dtype=self.product_dtype(ma, 1))
-        for p in range(d):
-            full[..., p, p : p + d] = a
-        return self.reduce(full)
 
     def conj_coeffs(self, arr, ma: int):
         """Coefficients of the complex conjugates of the elements stored
@@ -395,7 +412,7 @@ class CycNumber:
         mb = o.max_abs_coeff()
         if ma == 0 or mb == 0:
             return f.zero
-        dt = f.product_dtype(ma, mb)
+        dt = work_dtype(f.product_bound(ma, mb))
         full = np.convolve(np.array(self.num, dtype=dt), np.array(o.num, dtype=dt))
         return CycNumber(f, f.reduce(full).tolist(), self.den * o.den)
 
@@ -411,13 +428,16 @@ class CycNumber:
         ma = self.max_abs_coeff()
 
         # m[j] = num * z^j reduced, column j of the multiplication matrix M
-        m = f.mul_matrix(np.array(self.num, dtype=object))
+        full = np.zeros((d, 2 * d - 1), dtype=work_dtype(f.product_bound(ma, 1)))
+        for j in range(d):
+            full[j, j : j + d] = self.num
+        m = f.reduce(full)
         mx = int(np.abs(m).max())
         m = m.astype(work_dtype(d * mx * mx))
         # Hadamard: |det M| and the entries of adj(M) e_0 are at most
         # H = prod |column| < 2^(s/2); the primes' product must exceed 2H
         s = sum(int(x).bit_length() for x in (m * m).sum(axis=1))
-        ps, roots, w, big_p = f.split.take(2 + (s + 1) // 2)
+        ps, roots, w, big_p = f.split.take(1 << (1 + (s + 1) // 2))
 
         p = ps[:, None]
         dn = work_dtype(ma)

@@ -5,25 +5,22 @@ All entries live in one (rows, cols, degree) integer array of power-basis
 coefficients over a single positive denominator, gcd-normalized once per
 matrix.  The array is int64 whenever every coefficient fits and an object
 array of Python ints otherwise, so the stored data are canonical and key()
-is exact.  Every operation has one numpy code path: products accumulate
-shifted coefficient blocks and reduce them through the field's reduction
-table, exactly as scalar products do, and only the dtype of the work arrays
-is chosen per call from a worst-case magnitude bound.  Products (_product,
-which also takes stacks of matrices along leading axes) have three tiers:
-float64 when the bound on every partial sum is below 2^53, where BLAS sums
-of integers are exact whatever their order; int64 where it cannot
-overflow; Python ints otherwise.  A float64 result is cast back to int64,
-so stored arrays and keys do not depend on the tier.
+is exact.
 
-A product by a fixed matrix b is one matmul instead: multiplying by a fixed
-element is linear, and _mul_matrix(b) is its matrix, row (j, p) holding the
-coefficients of zeta^p b[j, l], built from the d reduced shifted copies of
-each entry (CycField.mul_matrix).  _mul_product takes the same tiers from
-the bound max|a| max|_mul_matrix(b)| (n d), n d the contracted length, and
-its result needs no reduction.  scalar_mul and the BFS products by the
-generators take this path; products whose two sides both vary, such as
-character tables and Heegaard words, keep _product.  The package sets OPENBLAS_NUM_THREADS=1 on import unless it is
-already set, so these small float64 matmuls run on one BLAS thread.
+Every matrix product, scalar multiples included, takes one route
+(_product, which also takes stacks of matrices along leading axes).  For a
+split prime p = 1 (mod N), p < 2^20, evaluation at the phi(N) primitive
+N-th roots of unity mod p maps Z[zeta_N] / p onto F_p^d, so a product is a
+forward transform of both sides, d independent matmuls of residues and an
+interpolation back, all as float64 matmuls that are exact because every
+sum stays below d p^2 or n p^2 < 2^53 (n, d < 2^13).  Enough primes are
+taken, from the field's one table (CycField.split, shared with
+CycNumber.inv), for their product to exceed twice the proven bound on the
+result's coefficients (CycField.product_bound), and Garner's CRT with
+symmetric digits lifts the residues to the exact integers: in int64 while
+the primes' product is below 2^61 (work_dtype), in Python ints otherwise.
+The package sets OPENBLAS_NUM_THREADS=1 on import unless it is already set,
+so these small float64 matmuls run on one BLAS thread.
 
 Matrices of roots of unity are built from their exponents: CycMatrix.roots
 reads a monomial matrix (the diagonal rho(t), the Heisenberg matrices, the
@@ -33,8 +30,8 @@ are power-table lookups and a product by it scales columns.  The
 presentation certificates of finite_image, the projective relations of
 modular_data and the Heegaard words of mfld3 all evaluate through it.
 
-CycNumber objects are built only at the API edge: indexing, entries, rows,
-JSON output and embedding.
+CycNumber objects are built only at the API edge: indexing, entries, rows
+and embedding; to_json writes its coefficients straight from the array.
 """
 
 from __future__ import annotations
@@ -48,73 +45,70 @@ from .cyclo import CycField, CycNumber, work_dtype
 __all__ = ["CycMatrix"]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# float64 sums of integers are exact while every partial sum is below this
-_FLOAT64_EXACT = 1 << 53
 
 
 def _max_abs(arr) -> int:
     return int(np.abs(arr).max(initial=0))
 
 
-def _tier(bound: int):
-    """Work dtype for a product whose operands and partial sums are proven
-    bounded by `bound`: float64 (BLAS) below 2^53, where each one is an
-    exactly represented integer; otherwise cyclo's int64 or Python-int
-    choice."""
-    return np.float64 if bound < _FLOAT64_EXACT else work_dtype(bound)
+def _mod(x, p):
+    """x - p floor(x / p) in place, for float64 integers |x| < 2^53: the
+    residue, or the residue minus p when the quotient rounds up (never for
+    |x| < 2p, where the quotient is far from its floor's rounding)."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
 
 
-def _product_dtype(field: CycField, ma: int, mb: int, terms: int):
-    """Work dtype for a _product call."""
-    return _tier(field.product_bound(ma, mb, terms))
+def _lift(res, ps, big_p):
+    """The integers of magnitude below big_p / 2 with the residues
+    res[..., i, :, :] (float64, magnitude below ps[i]) modulo ps[i]: Garner's
+    mixed radix with digits in [-p/2, p/2), summed in the dtype work_dtype
+    picks for big_p: int64 for up to three primes, Python ints past."""
+    pl, digits = ps.tolist(), []
+    for p in pl:
+        x = res[..., len(digits), :, :]
+        for q, v in zip(pl, digits):
+            x = _mod((x - v) * pow(q, -1, p), p)
+        digits.append(_mod(x + p // 2, p) - p // 2)
+    dt = work_dtype(big_p)
+    out = np.zeros(digits[0].shape, dtype=dt)
+    for p, v in zip(pl[::-1], digits[::-1]):
+        out *= p
+        out += v.astype(np.int64).astype(dt, copy=False)
+    return out
 
 
 def _product(field: CycField, a, b):
     """Coefficients of the matrix products of the blocks a (..., m, n, d) and
-    b (..., n, k, d), broadcast over the leading axes, denominators aside.
-    The result is int64 or, past the int64 bound, Python ints."""
-    *_, m, n, d = a.shape
-    k = b.shape[-2]
-    dt = _product_dtype(field, _max_abs(a), _max_abs(b), n)
-    a = a.astype(dt, copy=False)
-    b = b.astype(dt, copy=False).reshape(b.shape[:-2] + (k * d,))
-    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-2])
-    full = np.zeros(lead + (m, k, 2 * d - 1), dtype=dt)
-    # skip all-zero coefficient planes
-    for p in np.flatnonzero(a.any(axis=tuple(range(a.ndim - 1)))):
-        full[..., p : p + d] += (a[..., p] @ b).reshape(lead + (m, k, d))
-    out = field.reduce(full)
-    return out.astype(np.int64) if dt is np.float64 else out
-
-
-def _mul_matrix(field: CycField, b):
-    """The multiplication matrix of the blocks b (..., n, k, d): shape
-    (..., n d, k d), entry ((j, p), (l, q)) the coefficient q of
-    zeta^p b[j, l], so that the coefficients of the product of a (..., m, n, d)
-    and b are a (..., m, n d) @ _mul_matrix(b), already reduced."""
-    *lead, n, k, d = b.shape
-    rows = field.mul_matrix(b)  # (..., n, k, p, q)
-    return rows.swapaxes(-3, -2).reshape(*lead, n * d, k * d)
-
-
-def _mul_dtype(a, bmul):
-    """Work dtype for _mul_product(a, bmul): every partial sum is a sum of at
-    most n d (the contracted length) products of entries of a and bmul."""
+    b (..., n, k, d), broadcast over the leading axes, denominators aside:
+    the values at the roots of Phi_N modulo enough split primes to cover
+    twice field.product_bound, one batched matmul per root, interpolation
+    and CRT.  The result is int64 or, past the int64 lift, Python ints."""
     n, d = a.shape[-2:]
-    ma, mb = _max_abs(a), _max_abs(bmul)
-    return _tier(max(ma, mb, ma * mb * n * d))
+    if max(n, d) >> 13:
+        raise OverflowError("float64 residue sums are exact only below 2^13 terms")
+    ma, mb = _max_abs(a), _max_abs(b)
+    ps, _, _, big_p = field.split.take(2 * field.product_bound(ma, mb, n))
+    fwd, back = field.split.transforms(len(ps))
+    pf = ps[:, None, None].astype(np.float64)
 
+    def values(x, mx):
+        """x mod each prime at the roots: (..., primes, d, rows, cols)."""
+        x = np.moveaxis(x, -1, -3)[..., None, :, :, :]
+        if mx * d >> 33:  # the transform's sums would pass 2^53: reduce first
+            x = x % ps[:, None, None, None].astype(x.dtype)
+        shape = x.shape[-2:]
+        x = _mod(fwd @ x.astype(np.float64, order="C").reshape(x.shape[:-2] + (-1,)), pf)
+        return x.reshape(x.shape[:-1] + shape)
 
-def _mul_product(a, bmul):
-    """Coefficients of the matrix products of the blocks a (..., m, n, d) and
-    the fixed blocks b whose multiplication matrices are bmul (see
-    _mul_matrix), broadcast over the leading axes: one matmul, already
-    reduced, in the tiers of _product."""
-    *lead, m, n, d = a.shape
-    dt = _mul_dtype(a, bmul)
-    out = a.reshape(*lead, m, n * d).astype(dt, copy=False) @ bmul.astype(dt, copy=False)
-    out = out.reshape(out.shape[:-1] + (-1, d))
-    return out.astype(np.int64) if dt is np.float64 else out
+    prod = values(a, ma) @ values(b, mb)
+    m, k = prod.shape[-2:]
+    prod = _mod(back @ _mod(prod.reshape(prod.shape[:-2] + (m * k,)), pf), pf)
+    out = _lift(prod, ps, big_p)
+    return np.moveaxis(out.reshape(out.shape[:-1] + (m, k)), -3, -1)
 
 
 def _normalize(arr, den):
@@ -248,9 +242,9 @@ class CycMatrix:
 
     def scalar_mul(self, c: CycNumber) -> "CycMatrix":
         d = self.field.degree
-        cmul = _mul_matrix(self.field, np.array(c.num, dtype=object).reshape(1, 1, d))
-        out = _mul_product(self.arr.reshape(-1, 1, d), cmul).reshape(self.arr.shape)
-        return CycMatrix._from_array(self.field, out, self.den * c.den)
+        row = self.arr.reshape(1, -1, d)
+        out = _product(self.field, np.array(c.num, dtype=object).reshape(1, 1, d), row)
+        return CycMatrix._from_array(self.field, out.reshape(self.arr.shape), self.den * c.den)
 
     def _combine(self, other, sign):
         """self + sign * other."""
@@ -355,11 +349,13 @@ class CycMatrix:
         return np.array(values, dtype=complex).reshape(self.rows, self.cols)
 
     def to_json(self):
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [e.to_json() for e in self.entries],
-        }
+        """Entries in row-major order as CycNumber.to_json writes them, each
+        coefficient reduced over the common denominator by one gcd."""
+        arr = self.arr if self.den <= _INT64_MAX else self.arr.astype(object)
+        g = np.gcd(arr, self.den)
+        pairs = np.stack([arr // g, self.den // g], axis=-1).tolist()
+        entries = [{"n": self.field.n, "coeffs": c} for row in pairs for c in row]
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     def __repr__(self):
         return f"CycMatrix({self.rows}x{self.cols} over Q(zeta_{self.field.n}))"
@@ -375,13 +371,14 @@ def _root_exponents(m: CycMatrix):
 
 
 def _scale_columns(m: CycMatrix, ks) -> CycMatrix:
-    """m @ diag(zeta_N^k_j): column j of m times zeta_N^k_j, one batched
-    product by the multiplication matrices of the roots, whose row p is the
-    power table's row k_j + p."""
+    """m @ diag(zeta_N^k_j): column j of m times zeta_N^k_j, one einsum
+    against the power table's rows k_j + p, the coefficients of
+    zeta^p zeta_N^k_j."""
     f = m.field
-    dmul = f.pw[(ks[:, None] + np.arange(f.degree)) % f.n]  # (n, d, d)
-    cols = _mul_product(m.arr.transpose(1, 0, 2)[:, :, None, :], dmul)
-    return CycMatrix._from_array(f, cols[:, :, 0].transpose(1, 0, 2), m.den)
+    rows = f.pw[(ks[:, None] + np.arange(f.degree)) % f.n]  # (n, d, d)
+    dt = work_dtype(_max_abs(m.arr) * _max_abs(rows) * f.degree)
+    out = np.einsum("ijp,jpq->ijq", m.arr.astype(dt, copy=False), rows.astype(dt))
+    return CycMatrix._from_array(f, out, m.den)
 
 
 class _Letter:

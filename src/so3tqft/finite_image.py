@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclo import CycNumber
-from .cycmatrix import CycMatrix, _Letter, _mul_matrix, _mul_product, _normalize, _stack_keys
+from .cycmatrix import CycMatrix, _Letter, _normalize, _product, _stack_keys
 from .levels import prime_divisors, sl2_mul
 from .modular_data import genus1_letters, projective_relations, rho_genus1
 from .weil import build_weil, verify_odd_block_identification
@@ -58,7 +58,6 @@ __all__ = [
     "weil_generators",
     "so3_closure",
     "weil_closure",
-    "projective_order",
     "psl2_relators",
     "sl2_relators",
     "mod_r_graph_report",
@@ -97,8 +96,8 @@ class GroupClosure:
     generator_names: tuple
 
 
-# frontier elements multiplied by one batched product; larger blocks save no
-# time and raise peak memory (`image --r 11`: 49.3 MB at 16, 54.6 MB at 64)
+# frontier elements multiplied by one batched product; in process
+# so3_closure(13) takes 0.124 s at 16, 0.128 s at 8 and 0.142 s at 64
 _BLOCK = 16
 
 
@@ -121,11 +120,9 @@ def _bfs(gens):
     element in the order of the one-at-a-time search: frontier order, then
     generator order; the identity, index 0, is not yielded.  The frontier is
     taken _BLOCK elements at a time, and all their products with the
-    distinct generator matrices (up to sign) are one kernel call, normalized
-    and keyed as one stack; only the new elements are copied out of it.  The
-    distinct generators are fixed for the whole search, so their products
-    are one matmul per block against their stacked multiplication matrix
-    (cycmatrix._mul_matrix), built once."""
+    distinct generator matrices (up to sign) are one cycmatrix._product of
+    the stacked generators by the stacked block, normalized and keyed as one
+    stack; only the new elements are copied out of it."""
     field = gens[0].field
     n = gens[0].rows
     d = field.degree
@@ -136,10 +133,7 @@ def _bfs(gens):
     slots = [distinct.index(k) for k in gkeys]
     first = [gkeys.index(k) for k in distinct]
     u = len(distinct)
-    gden = gden[first]
-    # entries commute, so g @ m = (m^T g^T)^T: a block is its stacked m^T
-    # times the multiplication matrix gmul (n d, u n d) of [g_1^T ... g_u^T]
-    gmul = _mul_matrix(field, np.concatenate(garr[first]).transpose(1, 0, 2))
+    garr, gden = garr[first], gden[first]
 
     start = CycMatrix.identity(field, n)
     frontier = [start]
@@ -148,9 +142,8 @@ def _bfs(gens):
     while head < len(frontier):
         block = frontier[head : head + _BLOCK]
         b = len(block)
-        operand = np.concatenate([m.arr.transpose(1, 0, 2) for m in block])
-        raw = _mul_product(operand, gmul).reshape(b, n, u, n, d)  # (b, l, g, i)
-        raw = raw.transpose(0, 2, 3, 1, 4).reshape(b * u, n, n, d)
+        operand = np.stack([m.arr for m in block])[:, None]
+        raw = _product(field, garr, operand).reshape(b * u, n, n, d)
         dens = np.array([m.den for m in block], dtype=object)[:, None] * gden
         arr, dens = _up_to_sign(raw, dens.reshape(-1))
         keys = _stack_keys(arr, dens)
@@ -262,16 +255,6 @@ def weil_closure(r: int, max_order: int = 10**7) -> GroupClosure:
     if not weil_image_equality(r):
         raise ArithmeticError("canonical Weil generators differ from the genus-1 ones")
     return _genus1_closure(r, max_order)
-
-
-def projective_order(m: CycMatrix, bound: int = 10**5) -> int:
-    """Order of the projective class of m: the least k with m^k scalar."""
-    p = m
-    for k in range(1, bound + 1):
-        if p.is_scalar():
-            return k
-        p = p @ m
-    raise ArithmeticError("projective order exceeds bound")
 
 
 # ---------------------------------------------------------------------------

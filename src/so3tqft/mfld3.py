@@ -43,7 +43,6 @@ __all__ = [
     "heegaard_tau",
     "lens_word",
     "lens_routes_agree",
-    "calibrate_lens_word_sign",
     "norm_survey",
     "LENS_WORD_SIGN",
     "MAX_SURVEY_LEN",
@@ -202,7 +201,7 @@ def connected_sum(t1: InvariantValue, t2: InvariantValue, md: ModularData) -> In
 # ---------------------------------------------------------------------------
 # genus-1 Heegaard route
 
-# Pinned by calibration (see calibrate_lens_word_sign): the chain (p) and the
+# Pinned by calibration (tests/test_mfld3.py): the chain (p) and the
 # word s t^(sign*p) s agree in norm for either sign, and p = +1 reproduces
 # tau(S^3); the positive convention is the one we keep.
 LENS_WORD_SIGN = 1
@@ -247,16 +246,6 @@ def lens_routes_agree(md: ModularData, p: int, sign: int = LENS_WORD_SIGN) -> bo
     lhs = tau(md, ChainSurgery((p,))).value
     rhs = heegaard_word_matrix(md, lens_word(p, sign))[(0, 0)]
     return lhs * lhs.conj() == rhs * rhs.conj()
-
-
-def calibrate_lens_word_sign(md: ModularData, max_p: int = 6):
-    """Try both exponent signs for the lens word against the surgery route;
-    return the list of signs whose exact norms match for all |p| <= max_p."""
-    return [
-        sign
-        for sign in (1, -1)
-        if all(lens_routes_agree(md, p, sign) for p in range(-max_p, max_p + 1))
-    ]
 
 
 def norm_survey(md: ModularData, max_word_len: int) -> dict:

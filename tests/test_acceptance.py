@@ -31,11 +31,7 @@ from so3tqft.fusion_dims import (
     twist_multiplicities,
     verlinde_dim,
 )
-from so3tqft.finite_image import (
-    projective_order,
-    so3_closure,
-    weil_closure,
-)
+from so3tqft.finite_image import so3_closure, weil_closure
 from so3tqft.sl2_char import borel_table, sl2_table
 from so3tqft.mfld3 import (
     ChainSurgery,
@@ -116,7 +112,8 @@ def test_criterion_06_finite_image():
         full = r * (r * r - 1)
         assert gc.order in (full, full // 2)
         _, rho_t = rho_genus1(r)
-        assert projective_order(rho_t) == r
+        # projective order r, a prime: rho(t) is not scalar and rho(t)^r is
+        assert not rho_t.is_scalar() and rho_t.matpow(r).is_scalar()
         wc = weil_closure(r)
         assert wc.order == gc.order
         assert set(wc.elements.keys()) == set(gc.elements.keys())

@@ -17,7 +17,6 @@ from so3tqft.finite_image import (
     mod_r_graph_report,
     linear_lift_report,
     proj_inverse,
-    projective_order,
     psl2_relators,
     sl2_relators,
     so3_closure,
@@ -78,14 +77,21 @@ def test_max_order_cut_off_matches_one_at_a_time_search():
 
 
 def test_closure_through_python_int_work_arrays(monkeypatch):
-    # every product on object arrays: keys and order must not depend on it.
-    # _tier is the work-dtype choice of both product paths.
+    # every product lifted from its residues in Python ints: keys and order
+    # must not depend on it
     names, gens = so3_generators(5)
     want = closure(gens, names=names)
-    bounds = []
-    monkeypatch.setattr(cycmatrix, "_tier", lambda bound: bounds.append(bound) or object)
+    lift, dtypes = cycmatrix._lift, []
+
+    def spy(*args):
+        out = lift(*args)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(cycmatrix, "work_dtype", lambda bound: object)
+    monkeypatch.setattr(cycmatrix, "_lift", spy)
     got = closure(gens, names=names)
-    assert bounds
+    assert dtypes and all(dt == object for dt in dtypes)
     assert list(got.elements) == list(want.elements)
     assert got.generator_words == want.generator_words
 
@@ -188,6 +194,16 @@ def test_closure_invariant_under_scalar_twist():
         got = closure(twisted, names=names)
         assert got.complete
         assert got.order == r * base.order == {5: 300, 7: 1176}[r]
+
+
+def projective_order(m: CycMatrix, bound: int = 10**5) -> int:
+    """Order of the projective class of m: the least k with m^k scalar."""
+    p = m
+    for k in range(1, bound + 1):
+        if p.is_scalar():
+            return k
+        p = p @ m
+    raise ArithmeticError("projective order exceeds bound")
 
 
 def test_projective_generator_orders():

@@ -1,18 +1,21 @@
-"""Property tests of the exact kernel on both sides of its dtype switches.
+"""Property tests of the exact kernel on both sides of its switches.
 
 Scalar products and conjugates are compared with sympy's remainder modulo
 the cyclotomic polynomial; matrix products, scalar multiples and sums with
-entrywise CycNumber arithmetic.  Coefficients are drawn up to 2^62, so the
-work dtype chosen from the worst-case bound falls on every side: float64
-below 2^53 (matrix products only), int64 below 2^61, Python ints above.
-Matrix products in the float64 tier are also compared with the same product
-run on Python ints, and products against a multiplication matrix with
-_product, on each side of the 2^53 bound over their contracted length.
-Inverses are compared with sympy's invert where that finishes quickly
-(two-term numerators, or degree 8) and otherwise checked by sympy's product.
+entrywise CycNumber arithmetic.  Scalar coefficients are drawn up to 2^62,
+so the work dtype chosen from the worst-case bound falls on both sides:
+int64 below 2^61, Python ints above.  Matrix products, which are taken at
+the roots of Phi_N modulo split primes, are also compared with the product
+on Python ints, with the bound on each side of one-, two- and three-prime
+products and of the int64 CRT lift, and a product with one prime fewer
+than the bound asks is shown to be wrong.  Inverses are compared with
+sympy's invert where that finishes quickly (two-term numerators, or degree
+8) and otherwise checked by sympy's product.
 """
 
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import numpy as np
 import pytest
@@ -20,15 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly, cyclotomic_poly, invert, symbols
 
-from so3tqft.cyclo import _INT64_GUARD, CycNumber, _split_primes, get_field
-from so3tqft.cycmatrix import (
-    CycMatrix,
-    _mul_dtype,
-    _mul_matrix,
-    _mul_product,
-    _product,
-    _product_dtype,
-)
+from so3tqft.cyclo import _INT64_GUARD, CycField, CycNumber, _split_primes, get_field, work_dtype
+from so3tqft.cycmatrix import CycMatrix, _product
 
 X = symbols("x")
 
@@ -38,9 +34,6 @@ MODULI = (20, 52, 124, 148)
 INV_MODULI = (20, 52, 76, 124, 148)
 
 KERNEL = settings(max_examples=25, deadline=None)
-
-# float64 represents every integer of magnitude up to 2^53 exactly
-FLOAT64_EXACT = 1 << (np.finfo(np.float64).nmant + 1)
 
 
 def coeffs(d, min_bits=0, max_bits=62):
@@ -106,7 +99,7 @@ def test_scalar_mul_at_the_dtype_switch(n):
     mb = _INT64_GUARD // (ma * d * (1 + d * f.red_max))
     a = [ma if j % 2 else -ma for j in range(d)]
     for m, dtype in ((mb, np.int64), (mb + 1, object)):
-        assert f.product_dtype(ma, m) is dtype
+        assert work_dtype(f.product_bound(ma, m)) is dtype
         b = [m] * d
         assert (CycNumber(f, a, 1) * CycNumber(f, b, 1)).num == sympy_mul(a, b, n)
 
@@ -115,12 +108,16 @@ def _max(arr):
     return int(np.abs(arr).max(initial=0))
 
 
-def object_product(f, a, b, shift=64):
-    """_product(f, a, b) computed on Python ints: a scaled by 2^shift puts
-    the bound past int64, and the exact result is scaled back."""
-    big = a.astype(object) * (1 << shift)
-    assert _product_dtype(f, _max(big), _max(b), a.shape[1]) is object or not a.any()
-    return _product(f, big, b).astype(object) // (1 << shift)
+def object_product(f, a, b):
+    """The coefficients of the matrix product of a (m, n, d) and b (n, k, d)
+    on Python ints: one shifted block per coefficient plane of a, reduced
+    through the field's table."""
+    a, b = a.astype(object), b.astype(object)
+    (m, n, d), k = a.shape, b.shape[1]
+    full = np.zeros((m, k, 2 * d - 1), dtype=object)
+    for p in range(d):
+        full[..., p : p + d] += (a[..., p] @ b.reshape(n, k * d)).reshape(m, k, d)
+    return f.reduce(full)
 
 
 def entrywise_product(f, a, b):
@@ -139,89 +136,98 @@ def entrywise_product(f, a, b):
     ]
 
 
-@pytest.mark.parametrize("n", MODULI)
-def test_matrix_product_at_the_float64_switch(n):
-    # the largest and smallest factors on each side of the float64 bound
-    f = get_field(n)
-    d = f.degree
-    k = 3
-    ma = 1 << 20
-    mb = (FLOAT64_EXACT - 1) // (ma * k * d * (1 + d * f.red_max))
-    a = np.array([[[ma if (i + j + p) % 2 else -ma for p in range(d)] for j in range(k)]
-                  for i in range(2)], dtype=np.int64)
-    for m, dtype in ((mb, np.float64), (mb + 1, np.int64)):
-        assert (f.product_bound(ma, m, k) < FLOAT64_EXACT) == (dtype is np.float64)
-        assert _product_dtype(f, ma, m, k) is dtype
-        b = np.full((k, 2, d), m, dtype=np.int64)
-        b[1, 0] = -m
-        got = _product(f, a, b)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, object_product(f, a, b))
-        assert [[tuple(x) for x in row] for row in got.tolist()] == entrywise_product(f, a, b)
+def prime_counts(monkeypatch, f):
+    """The number of primes each product of field f takes, recorded."""
+    take, counts = f.split.take, []
+
+    def spy(bound):
+        out = take(bound)
+        counts.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(f.split, "take", spy)
+    return counts
+
+
+def covered(f, k, terms, mb):
+    """The largest ma for which the first k split primes cover the product
+    bound of sums of `terms` products of coefficients bounded by ma and mb,
+    and the product of those primes."""
+    big_p = prod(islice(_split_primes(f.n), k))
+    c = terms * f.degree * (1 + f.degree * f.red_max)
+    return (big_p - 1) // (2 * c * mb), big_p
 
 
 @pytest.mark.parametrize("n", MODULI)
-def test_mul_product_at_the_float64_switch(n):
-    # the largest and smallest multipliers on each side of the float64 bound
-    # of a (2, k, d) product against the multiplication matrix of b, whose
-    # contracted length is k d
+def test_matrix_product_at_the_prime_count_switches(n, monkeypatch):
+    # the largest and smallest factors on each side of the one-, two- and
+    # three-prime products; past three primes the CRT lift is on Python ints
     f = get_field(n)
     d = f.degree
-    k = 3
-    ma = 1 << 20
-    a = np.array([[[ma if (i + j + p) % 2 else -ma for p in range(d)] for j in range(k)]
-                  for i in range(2)], dtype=np.int64)
-    unit = np.ones((k, 2, d), dtype=np.int64)
-    unit[1, 0] = -1
-    c = _max(_mul_matrix(f, unit))
-    mb = (FLOAT64_EXACT - 1) // (ma * c * k * d)
-    for m, dtype in ((mb, np.float64), (mb + 1, np.int64)):
-        b = unit * m
-        bmul = _mul_matrix(f, b)
-        assert _max(bmul) == m * c
-        assert (ma * m * c * k * d < FLOAT64_EXACT) == (dtype is np.float64)
-        assert _mul_dtype(a, bmul) is dtype
-        got = _mul_product(a, bmul)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, _product(f, a, b))
-        assert [[tuple(x) for x in row] for row in got.tolist()] == entrywise_product(f, a, b)
-        # past 2^63: Python ints, the same coefficients scaled
-        big = a.astype(object) * (1 << 64)
-        assert _mul_dtype(big, bmul) is object
-        assert np.array_equal(_mul_product(big, bmul), got.astype(object) * (1 << 64))
+    k, mb = 3, 1 << 10
+    counts = prime_counts(monkeypatch, f)
+    assert covered(f, 3, k, mb)[1] < _INT64_GUARD <= covered(f, 4, k, mb)[1]
+    for primes in (1, 2, 3):
+        top, big_p = covered(f, primes, k, mb)
+        b = np.full((k, 2, d), mb, dtype=np.int64)
+        b[1, 0] = -mb
+        for ma, want in ((top, primes), (top + 1, primes + 1)):
+            a = np.array([[[ma if (i + j + p) % 2 else -ma for p in range(d)]
+                           for j in range(k)] for i in range(2)], dtype=np.int64)
+            got = _product(f, a, b)
+            assert counts[-1] == want
+            assert got.dtype == (np.int64 if want < 4 else object)
+            assert np.array_equal(got, object_product(f, a, b))
+            assert [[tuple(x) for x in row] for row in got.tolist()] == entrywise_product(f, a, b)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_one_prime_fewer_than_the_bound_asks_gives_a_wrong_product(n, monkeypatch):
+    # a and b hold only constant coefficients, so the product's constant
+    # coefficient is k ma mb, about P / (2 d (1 + d red_max)) for the P the
+    # bound asks for: past half the product of one prime fewer
+    f = get_field(n)
+    d = f.degree
+    k, mb = 3, 1 << 10
+    for primes in (2, 3):
+        ma, _ = covered(f, primes, k, mb)
+        a = np.zeros((1, k, d), dtype=np.int64)
+        b = np.zeros((k, 1, d), dtype=np.int64)
+        a[..., 0], b[..., 0] = ma, mb
+        want = object_product(f, a, b)
+        assert np.array_equal(_product(f, a, b), want)
+        fewer = prod(islice(_split_primes(n), primes - 1))
+        assert 2 * want[0, 0, 0] > fewer
+        with monkeypatch.context() as m:
+            m.setattr(f, "product_bound", lambda *args: (fewer - 1) // 2)
+            counts = prime_counts(m, f)
+            got = _product(f, a, b)
+        assert counts == [primes - 1]
+        assert not np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", (20, 52, 148))
 @KERNEL
 @given(data=st.data())
 def test_float64_products_match_python_int_products(n, data):
+    # coefficients up to 2^70, so products take from one to many primes and
+    # both lifts; stacks broadcast over their leading axes as in the search
     f = get_field(n)
     d = f.degree
-    m, k, l = (data.draw(st.integers(1, 3)) for _ in range(3))
-    # magnitudes up to about the largest the float64 tier admits
-    top = (53 - (k * d * (1 + d * f.red_max)).bit_length()) // 2
-    a = np.array(data.draw(st.lists(coeffs(d, 0, top), min_size=m * k, max_size=m * k)))
-    b = np.array(data.draw(st.lists(coeffs(d, 0, top), min_size=k * l, max_size=k * l)))
-    a, b = a.reshape(m, k, d), b.reshape(k, l, d)
-    assert _product_dtype(f, _max(a), _max(b), k) is np.float64
-    assert np.array_equal(_product(f, a, b), object_product(f, a, b))
-
-
-@pytest.mark.parametrize("n", (20, 52, 148))
-@KERNEL
-@given(data=st.data())
-def test_mul_products_match_products(n, data):
-    # coefficients up to 2^70, so every tier is drawn
-    f = get_field(n)
-    d = f.degree
-    m, k, l = (data.draw(st.integers(1, 3)) for _ in range(3))
-    a = data.draw(st.lists(coeffs(d, 0, 70), min_size=m * k, max_size=m * k))
-    b = data.draw(st.lists(coeffs(d, 0, 70), min_size=k * l, max_size=k * l))
-    a = np.array(a, dtype=object).reshape(m, k, d)
-    b = np.array(b, dtype=object).reshape(k, l, d)
-    got = _mul_product(a, _mul_matrix(f, b))
-    assert np.array_equal(got, _product(f, a, b))
-    assert [[tuple(x) for x in row] for row in got.tolist()] == entrywise_product(f, a, b)
+    m, k, l, s, t = (data.draw(st.integers(1, 3)) for _ in range(5))
+    top = data.draw(st.integers(0, 70))
+    a = data.draw(st.lists(coeffs(d, 0, top), min_size=s * m * k, max_size=s * m * k))
+    b = data.draw(st.lists(coeffs(d, 0, top), min_size=t * k * l, max_size=t * k * l))
+    a = np.array(a, dtype=np.int64 if top < 63 else object).reshape(s, m, k, d)
+    b = np.array(b, dtype=np.int64 if top < 63 else object).reshape(t, 1, k, l, d)
+    got = _product(f, a, b)
+    assert got.shape == (t, s, m, l, d)
+    for i in range(s):
+        for j in range(t):
+            assert np.array_equal(got[j, i], object_product(f, a[i], b[j, 0]))
+    assert [[tuple(x) for x in row] for row in got[0, 0].tolist()] == entrywise_product(
+        f, a[0], b[0, 0]
+    )
 
 
 def cyc_matrix(draw, f, rows, cols, max_bits=62):
@@ -254,6 +260,8 @@ def test_matrix_ops_match_entrywise_arithmetic(n, data):
     assert (a + c).entries == [x + y for x, y in zip(a.entries, c.entries)]
     assert (a - c).entries == [x - y for x, y in zip(a.entries, c.entries)]
     assert a.conj_transpose().transpose().entries == [e.conj() for e in a.entries]
+    for x in (a, a.scalar_mul(s), a.scalar_mul(f.from_fraction(Fraction(1 << 70, 3 << 66)))):
+        assert x.to_json()["entries"] == [e.to_json() for e in x.entries]
 
 
 @pytest.mark.parametrize("n", MODULI)
@@ -286,6 +294,14 @@ def test_sum_with_zero_over_a_huge_denominator():
     assert zero + tiny == tiny
     assert (tiny - zero).entries == tiny.entries
     assert (tiny - tiny).key() == zero.key()
+    assert tiny.to_json()["entries"] == [e.to_json() for e in tiny.entries]
+
+
+def test_product_of_zero_matrices_takes_one_prime():
+    f = CycField(44)  # a fresh field, with no split prime taken yet
+    zero = CycMatrix.identity(f, 2) - CycMatrix.identity(f, 2)
+    assert (zero @ zero).is_zero()
+    assert len(f.split.p) == 1
 
 
 def sympy_inverse(a, n):

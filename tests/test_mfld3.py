@@ -8,7 +8,6 @@ from so3tqft.modular_data import build_modular_data, rho_genus1
 from so3tqft.mfld3 import (
     ChainSurgery,
     LENS_WORD_SIGN,
-    calibrate_lens_word_sign,
     connected_sum,
     heegaard_tau,
     heegaard_word_matrix,
@@ -173,6 +172,16 @@ def test_lens_routes_agree_in_exact_norm():
         # the comparison is not vacuous: sign 0 pairs the chain (1), which is
         # S^3 with |tau| = 1/D, with the word ss of S^1 x S^2, whose norm is 1
         assert not lens_routes_agree(md, 1, sign=0)
+
+
+def calibrate_lens_word_sign(md, max_p=6):
+    """Try both exponent signs for the lens word against the surgery route;
+    return the list of signs whose exact norms match for all |p| <= max_p."""
+    return [
+        sign
+        for sign in (1, -1)
+        if all(lens_routes_agree(md, p, sign) for p in range(-max_p, max_p + 1))
+    ]
 
 
 def test_lens_word_sign_calibration():
