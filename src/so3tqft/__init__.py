@@ -53,7 +53,6 @@ _EXPORTS = {
         "identify_group",
         "so3_closure",
         "weil_closure",
-        "weil_image_equality",
     ),
     "sl2_char": (
         "FiniteGroupTable",

@@ -45,7 +45,6 @@ __getattr__ = _lazy_getattr(
             "identify_group",
             "so3_closure",
             "weil_closure",
-            "weil_image_equality",
         ),
         "sl2_char": (
             "borel_check",
@@ -76,7 +75,7 @@ EXIT_CAPACITY = 3
 MAX_LEVEL = 113
 # image identifies the group from certificates; the largest prime at which
 # both generator sets finish a cold `image --json` in under 3 s (see README)
-MAX_IMAGE_R = 47
+MAX_IMAGE_R = 83
 # the enumeration checks of verify-all, a breadth-first search over all of
 # PSL2(F_r): 1092 elements at r = 13
 MAX_ENUMERATION_R = 13
@@ -261,32 +260,18 @@ def _cmd_image(args):
     r = args.r
     if r > MAX_IMAGE_R:
         raise CapacityError(f"image capped at r <= {MAX_IMAGE_R}")
-    from .finite_image import identify_group, weil_image_equality
+    from .finite_image import identify_group
+    from .weil import verify_odd_block_identification
 
     inputs = {"subcommand": "image", "r": r, "generators": args.generators}
     if args.generators == "weil":
-        try:
-            same = weil_image_equality(r)
-        except ArithmeticError:  # the odd-block identification failed
-            same = False
-        if not same:
-            return EXIT_VERIFY_FAIL, {
-                "schema": "1",
-                "inputs": inputs,
-                "weil_image_equality": False,
-            }
+        try:  # the odd Weil pair is a nonzero scalar multiple of the genus-1 pair
+            verify_odd_block_identification(r)
+        except ArithmeticError:
+            return EXIT_VERIFY_FAIL, {"schema": "1", "inputs": inputs, "weil_image_equality": False}
     found = identify_group(r)
-    report = {"schema": "1", "inputs": inputs}
-    for key in (
-        "order",
-        "matches",
-        "generator_orders",
-        "relations",
-        "mod_r_graph",
-        "linear_lift",
-        "r_mod_4",
-    ):
-        report[key] = found[key]
+    keys = "order matches generator_orders relations mod_r_graph linear_lift r_mod_4".split()
+    report = {"schema": "1", "inputs": inputs, **{k: found[k] for k in keys}}
     return (EXIT_OK if found["matches"] == "PSL2" else EXIT_VERIFY_FAIL), report
 
 
@@ -475,7 +460,7 @@ def _cmd_verify_all(args):
     check("lens-two-route", lens_oracle)
 
     if r <= MAX_ENUMERATION_R:
-        from .finite_image import so3_closure, weil_image_equality
+        from .finite_image import so3_closure, weil_closure
 
         def image_check():
             gc = so3_closure(r)
@@ -483,7 +468,7 @@ def _cmd_verify_all(args):
             return gc.complete and gc.order in (full, full // 2)
 
         check("image-enumeration", image_check)
-        check("weil-image-equality", lambda: weil_image_equality(r))
+        check("weil-image-equality", lambda: weil_closure(r) is so3_closure(r))
 
     if r <= SUPPORTED_RANGE[1]:
         from .sl2_char import sl2_table

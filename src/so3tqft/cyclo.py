@@ -265,6 +265,17 @@ class CycField:
         red = self.red_np[: tail.shape[-1]].astype(full.dtype, copy=False)
         return full[..., :d] + tail @ red
 
+    def lift_coeffs(self, arr, source: "CycField"):
+        """Coefficients here of the elements of Q(zeta_m), m | N, stored
+        along the last axis of arr: the image under zeta_m -> zeta_N^(N/m),
+        zeta_m^j being the power-table row of zeta_N^(j N/m)."""
+        if self.n % source.n:
+            raise ValueError("target modulus must be a multiple of the source")
+        rows = self.pw[self.n // source.n * np.arange(source.degree)]
+        ma = int(np.abs(arr).max(initial=0))
+        dt = work_dtype(source.degree * ma * int(np.abs(rows).max()))
+        return arr.astype(dt, copy=False) @ rows.astype(dt)
+
     def conj_coeffs(self, arr, ma: int):
         """Coefficients of the complex conjugates of the elements stored
         along the last axis of arr, whose coefficients are bounded by ma."""
@@ -529,12 +540,7 @@ class CycNumber:
         """Image under the embedding zeta_m -> zeta_n^(n/m), m | n."""
         if field is self.field:
             return self
-        if field.n % self.field.n != 0:
-            raise ValueError("target modulus must be a multiple of the source")
-        # coefficients times the rows zeta_n^(step * j) of the power table
-        rows = field.pw[field.n // self.field.n * np.arange(self.field.degree)]
-        dt = work_dtype(len(rows) * self.max_abs_coeff() * int(np.abs(rows).max()))
-        num = np.array(self.num, dtype=dt) @ rows.astype(dt)
+        num = field.lift_coeffs(np.array(self.num, dtype=object), self.field)
         return CycNumber(field, num.tolist(), self.den)
 
     def to_json(self):

@@ -31,9 +31,9 @@ one kernel call, and the products are normalized, signed and keyed as one
 stack; new elements are then taken in the order the one-at-a-time search
 would find them, so orders, words and cut-offs are unchanged.  The norm
 survey of mfld3 walks the same search.  The odd Weil generators are not
-searched again: once the odd-block identification holds, their canonical
-forms (each divided by its first nonzero entry) equal those of the genus-1
-generators, and weil_closure checks that and returns the genus-1 closure.
+searched again: the odd-block identification of weil certifies them to be
+nonzero scalar multiples of rho(s) and rho(t), so weil_closure runs that
+certificate and returns the genus-1 closure.
 """
 
 from __future__ import annotations
@@ -47,15 +47,13 @@ from .cyclo import CycNumber
 from .cycmatrix import CycMatrix, _Letter, _normalize, _product, _stack_keys
 from .levels import prime_divisors, sl2_mul
 from .modular_data import genus1_letters, projective_relations, rho_genus1
-from .weil import build_weil, verify_odd_block_identification
+from .weil import verify_odd_block_identification
 
 __all__ = [
     "GroupClosure",
     "canonicalize",
-    "proj_inverse",
     "closure",
     "so3_generators",
-    "weil_generators",
     "so3_closure",
     "weil_closure",
     "psl2_relators",
@@ -63,10 +61,10 @@ __all__ = [
     "mod_r_graph_report",
     "linear_lift_report",
     "identify_group",
-    "weil_image_equality",
 ]
 
 
+# kept in src because perfbench's tracer patches it (and weil_closure) by name
 def canonicalize(m: CycMatrix) -> CycMatrix:
     """m divided by its first nonzero entry in row-major order: one exact
     representative per projective class."""
@@ -76,15 +74,6 @@ def canonicalize(m: CycMatrix) -> CycMatrix:
         raise ValueError("cannot canonicalize the zero matrix")
     pivot = CycNumber(m.field, flat[nonzero.argmax()].tolist(), m.den)
     return m.scalar_mul(pivot.inv())
-
-
-def proj_inverse(m: CycMatrix) -> CycMatrix:
-    """Inverse up to scalar for a matrix that is unitary up to scalar:
-    m * m^dagger must be scalar, and then m^-1 is proportional to m^dagger."""
-    h = m.conj_transpose()
-    if not (m @ h).is_scalar():
-        raise ValueError("matrix is not unitary up to scalar")
-    return h
 
 
 @dataclass
@@ -209,16 +198,6 @@ def so3_generators(r: int):
     return ("s", "t", "S", "T"), (m_s, m_t, m_s.conj_transpose(), m_t.conj_transpose())
 
 
-def weil_generators(r: int):
-    w = build_weil(r)
-    return ("s", "t", "S", "T"), (
-        w.r_s_odd,
-        w.r_t_odd,
-        proj_inverse(w.r_s_odd),
-        proj_inverse(w.r_t_odd),
-    )
-
-
 # closures kept per process: one holds up to |PSL2(F_13)| = 1092 matrices
 _CLOSURE_CACHE = 8
 
@@ -235,25 +214,14 @@ def so3_closure(r: int, max_order: int = 10**7) -> GroupClosure:
     return _genus1_closure(r, max_order)
 
 
-def weil_image_equality(r: int) -> bool:
-    """The odd Weil pair and the genus-1 pair generate the same projective
-    image.  After the exact odd-block identification (the two pairs are
-    scalar multiples of each other), the canonical Weil generators and
-    their inverses must equal those of rho(s), rho(t) in order, so the two
-    closures are one and the same search.  The comparison is with the
-    unlifted pair, so it needs no lift."""
-    verify_odd_block_identification(r)  # the scalar identification; raises on mismatch
-    rho_s, rho_t = rho_genus1(r)
-    genus1 = (rho_s, rho_t, proj_inverse(rho_s), proj_inverse(rho_t))
-    keys = lambda gens: [canonicalize(g).key() for g in gens]
-    return keys(weil_generators(r)[1]) == keys(genus1)
-
-
 def weil_closure(r: int, max_order: int = 10**7) -> GroupClosure:
-    """Closure of the odd Weil generators, certified by weil_image_equality
-    to be the closure of the genus-1 generators: the same cache entry."""
-    if not weil_image_equality(r):
-        raise ArithmeticError("canonical Weil generators differ from the genus-1 ones")
+    """Closure of the odd Weil generators: the genus-1 closure, the same
+    cache entry, once verify_odd_block_identification has proved
+    R_s_odd = c_s S~ and R_t_odd = c_t rho(t), raising otherwise.  As
+    rho(s) = S~ / D by construction, c_t is a root of unity and
+    c_s = A^2 - A^-2 is checked nonzero, the odd Weil pair is a pair of
+    nonzero scalar multiples of (rho(s), rho(t)): the same projective image."""
+    verify_odd_block_identification(r)
     return _genus1_closure(r, max_order)
 
 

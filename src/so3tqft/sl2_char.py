@@ -585,12 +585,8 @@ def borel_check(r: int) -> dict:
     index = n // nb
     fg, fb = gt.value_field, bt.value_field
 
-    # the Borel table in Q(zeta_e(G)), e(B) | e(G): zeta_e(B)^j is the
-    # power-table row zeta_e(G)^(j e(G)/e(B))
-    rows = fg.pw[fg.n // fb.n * np.arange(fb.degree)]
-    barr = bt.values.arr
-    dt = work_dtype(fb.degree * _max_abs(barr) * _max_abs(rows))
-    lifted = CycMatrix._from_array(fg, barr.astype(dt) @ rows.astype(dt), bt.values.den)
+    # the Borel table in Q(zeta_e(G)), e(B) | e(G)
+    lifted = CycMatrix._from_array(fg, fg.lift_coeffs(bt.values.arr, fb), bt.values.den)
     # Frobenius reciprocity: <Ind chi, psi>_G = <chi, Res psi>_B, for every
     # pair at once as (1/|B|) sum_bc chi(bc) |bc| psi(g_bc^-1); every
     # element of a B-class lands in one G-class

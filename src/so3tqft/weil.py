@@ -13,6 +13,11 @@ cyclic shift e_k -> e_{k-1} and z to e(1) * Id, where e(k) = e^{2 pi i k / r}.
 Intertwiners R_s = (e(2ij)) and R_t = diag(e(-i^2)) realize the action of the
 generators s, t of SL2(F_r); the span of f_i = e_{(r-1-i)/2} - e_{(r+1+i)/2}
 for even i is invariant and carries the odd block.
+
+Every entry in the Heisenberg and intertwiner relations is a root of unity
+or zero, so they are checked on exponent arrays mod 4r with no matrix
+product: rho(z^e x^a y^c) is a monomial, and multiplying R by one permutes
+R's columns or rows and shifts their exponents.
 """
 
 from __future__ import annotations
@@ -82,37 +87,45 @@ class HeisenbergWord:
         return self.z_exp == 0 and self.x_exp == 0 and self.y_exp == 0
 
 
+def _monomial(r: int, w: HeisenbergWord):
+    """rho(z^e x^a y^c) as (exponents, columns): row i holds
+    zeta_4r^k_i = e(e + 2ia) in column i + c."""
+    i = np.arange(r)
+    return 4 * (w.z_exp + 2 * i * w.x_exp) % (4 * r), (i + w.y_exp) % r
+
+
+def _compose(m1, m2, n: int):
+    """The monomial product m1 m2, exponents mod n: row i picks row c1[i] of m2."""
+    (k1, c1), (k2, c2) = m1, m2
+    return (k1 + k2[c1]) % n, c2[c1]
+
+
 @dataclass(frozen=True)
 class HeisenbergPresentation:
+    """rho_x, rho_y and rho_z are rho_word of the generators, built on access."""
+
     r: int
-    rho_x: CycMatrix
-    rho_y: CycMatrix
-    rho_z: CycMatrix
 
     def rho_word(self, w: HeisenbergWord) -> CycMatrix:
         """Image of z^e x^a y^c: entries e(e + 2ia) at positions (i, i+c)."""
-        i = np.arange(self.r)
-        ks = 4 * (w.z_exp + 2 * i * w.x_exp)
-        return CycMatrix.roots(self.rho_x.field, ks, cols=(i + w.y_exp) % self.r)
+        return CycMatrix.roots(get_field(4 * self.r), *_monomial(self.r, w))
+
+    rho_x = property(lambda self: self.rho_word(HeisenbergWord.of(self.r, 0, 1, 0)))
+    rho_y = property(lambda self: self.rho_word(HeisenbergWord.of(self.r, 0, 0, 1)))
+    rho_z = property(lambda self: self.rho_word(HeisenbergWord.of(self.r, 1, 0, 0)))
 
 
 @lru_cache(maxsize=None)
 def heisenberg_presentation(r: int) -> HeisenbergPresentation:
+    """The presentation, once y x = z^2 x y holds between the monomials."""
     _require_level(r)
-    f = get_field(4 * r)
-    k = np.arange(r)
-    # e(k) = zeta_r^k is zeta_4r^(4k)
-    rho_x = CycMatrix.roots(f, 8 * k)
-    rho_y = CycMatrix.roots(f, np.zeros(r, dtype=int), cols=(k + 1) % r)
-    rho_z = CycMatrix.roots(f, np.full(r, 4))
-
-    pres = HeisenbergPresentation(r=r, rho_x=rho_x, rho_y=rho_y, rho_z=rho_z)
-    # central extension relation: y x y^-1 x^-1 = z^2
-    lhs = pres.rho_word(HeisenbergWord.of(r, 0, 0, 1)) @ rho_x
-    rhs = (rho_z @ rho_z) @ (rho_x @ pres.rho_word(HeisenbergWord.of(r, 0, 0, 1)))
-    if lhs != rhs:
+    n = 4 * r
+    words = [HeisenbergWord.of(r, *e) for e in ((0, 1, 0), (0, 0, 1), (1, 0, 0))]
+    x, y, z = (_monomial(r, w) for w in words)
+    lhs, rhs = _compose(y, x, n), _compose(_compose(z, z, n), _compose(x, y, n), n)
+    if not np.array_equal(lhs, rhs):
         raise ArithmeticError("Heisenberg commutation relation failed")
-    return pres
+    return HeisenbergPresentation(r)
 
 
 def heisenberg_action(m, r: int):
@@ -146,6 +159,15 @@ class WeilMatrices:
     r_t_odd: CycMatrix
 
 
+# the exponent array entry of a zero matrix entry
+_ZERO = -1
+
+
+def _shift(ex, ks, n: int):
+    """ex with ks added to the exponent of every nonzero entry, mod n."""
+    return np.where(ex == _ZERO, _ZERO, (ex + ks) % n)
+
+
 @lru_cache(maxsize=None)
 def build_weil(r: int) -> WeilMatrices:
     """Intertwiners R_s = (e(2ij)), R_t = diag(e(-i^2)) together with their
@@ -153,23 +175,27 @@ def build_weil(r: int) -> WeilMatrices:
 
         R_alpha rho(h) R_alpha^{-1} = rho(alpha(h))
 
-    is verified exactly for alpha in {s, t} and h in {x, y} (as products,
-    avoiding explicit inverses)."""
-    pres = heisenberg_presentation(r)
-    f = pres.rho_x.field
+    is verified exactly for alpha in {s, t} and h in {x, y}, as
+    R_alpha rho(h) = rho(alpha(h)) R_alpha on exponent arrays mod 4r, and
+    the matrices are read off the power table from the arrays checked."""
+    heisenberg_presentation(r)
+    f = get_field(4 * r)
     i = np.arange(r)
-    r_s = CycMatrix._from_array(f, f.pw[8 * np.outer(i, i) % f.n], 1)
-    r_t = CycMatrix.roots(f, -4 * i * i)
-
-    x_word = HeisenbergWord.of(r, 0, 1, 0)
-    y_word = HeisenbergWord.of(r, 0, 0, 1)
-    for mat, name in ((r_s, S_GEN), (r_t, T_GEN)):
-        for w in (x_word, y_word):
-            lhs = mat @ pres.rho_word(w)
-            rhs = pres.rho_word(apply_action(name, r, w)) @ mat
-            if lhs != rhs:
+    ex_s = 8 * np.outer(i, i) % f.n
+    ex_t = np.where(np.eye(r, dtype=bool), -4 * i * i % f.n, _ZERO)
+    for ex, alpha in ((ex_s, S_GEN), (ex_t, T_GEN)):
+        for h in (HeisenbergWord.of(r, 0, 1, 0), HeisenbergWord.of(r, 0, 0, 1)):
+            ks, cols = _monomial(r, h)
+            lhs = np.empty_like(ex)  # R rho(h): column j of R, scaled, to column cols[j]
+            lhs[:, cols] = _shift(ex, ks, f.n)
+            ks, cols = _monomial(r, apply_action(alpha, r, h))
+            # rho(alpha(h)) R: row i is row cols[i] of R, scaled
+            if not np.array_equal(lhs, _shift(ex[cols], ks[:, None], f.n)):
                 raise ArithmeticError("intertwiner relation failed for a generator")
-
+    r_s, r_t = (
+        CycMatrix._from_array(f, f.pw[ex % f.n] * (ex != _ZERO)[..., None], 1)
+        for ex in (ex_s, ex_t)
+    )
     r_s_odd, r_t_odd = _restrict_to_odd(r, r_s, r_t)
     return WeilMatrices(r=r, r_s=r_s, r_t=r_t, r_s_odd=r_s_odd, r_t_odd=r_t_odd)
 
@@ -208,25 +234,24 @@ def verify_odd_block_identification(r: int) -> dict:
         R_s_odd = (A^2 - A^-2) * S~        (entrywise)
         R_t_odd = zeta_{4r}^{-(r-1)^2} * rho(t)   (entrywise)
 
-    Returns the two proportionality constants and check flags."""
+    with A^2 - A^-2 nonzero; raises OddBlockMismatch on the first differing
+    entry.  Returns the two proportionality constants and check flags."""
     md = build_modular_data(r)
     w = build_weil(r)
     f = md.field
-    rho_s, rho_t = rho_genus1(r)
+    rho_t = rho_genus1(r)[1]
 
     a2 = f.zeta_power(2 * (r + 1))
     c_s = a2 - a2.conj()  # A^2 - A^-2
+    if c_s.is_zero():
+        raise ArithmeticError("A^2 - A^-2 is zero")
     c_t = f.zeta_power(-((r - 1) ** 2))
     blocks = (("S-block", w.r_s_odd, c_s, md.s_tilde), ("T-block", w.r_t_odd, c_t, rho_t))
     for which, odd, c, mat in blocks:
         want = mat.scalar_mul(c)
         if odd != want:  # name the first differing entry, in row-major order
-            i, j = next(
-                (i, j)
-                for i in range(odd.rows)
-                for j in range(odd.cols)
-                if odd[i, j] != want[i, j]
-            )
+            pairs = enumerate(zip(odd.entries, want.entries))
+            i, j = divmod(next(k for k, (a, b) in pairs if a != b), odd.cols)
             raise OddBlockMismatch(which, i, j, odd[i, j], want[i, j])
 
     return {

@@ -143,15 +143,20 @@ def test_image_exits_1_when_a_certificate_fails(capsys, how, break_certificate):
 
 
 def test_image_exits_1_when_the_weil_pair_differs(capsys, monkeypatch):
-    import so3tqft.finite_image as finite_image
+    import dataclasses
 
-    names, gens = finite_image.weil_generators(7)
-    swapped = (gens[1], gens[0], gens[2], gens[3])
-    monkeypatch.setattr(finite_image, "weil_generators", lambda r: (names, swapped))
-    code, out, err = run(capsys, "image", "--r", "7", "--generators", "weil", "--json")
-    assert code == 1 and err == ""
-    assert json.loads(out)["weil_image_equality"] is False
-    assert run(capsys, "image", "--r", "7", "--json")[0] == 0
+    import so3tqft.weil as weil
+
+    w = weil.build_weil(7)
+    for tampered in (
+        dataclasses.replace(w, r_s_odd=w.r_t_odd, r_t_odd=w.r_s_odd),  # blocks swapped
+        dataclasses.replace(w, r_t_odd=w.r_t_odd @ w.r_t_odd),  # t-block squared
+    ):
+        monkeypatch.setattr(weil, "build_weil", lambda r: tampered)
+        code, out, err = run(capsys, "image", "--r", "7", "--generators", "weil", "--json")
+        assert code == 1 and err == ""
+        assert json.loads(out)["weil_image_equality"] is False
+        assert run(capsys, "image", "--r", "7", "--json")[0] == 0
 
 
 @pytest.mark.parametrize("r", (5, 7, 11, 13))

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from so3tqft.cyclo import (
@@ -177,6 +178,18 @@ def test_lift_to_bigger_field():
     assert abs(x.embed() - y.embed()) < 1e-12
     with pytest.raises(ValueError):
         zeta(7).lift_to(f20)
+
+
+def test_lift_coeffs_matches_lift_to_past_int64():
+    # one routine lifts a stack of elements (the Borel table) and a single
+    # number, here through its Python-int path
+    f5, f20 = get_field(5), get_field(20)
+    rng = random.Random(3)
+    xs = [CycNumber(f5, [rng.randint(-2**70, 2**70) for _ in range(4)]) for _ in range(5)]
+    rows = f20.lift_coeffs(np.array([x.num for x in xs], dtype=object), f5).tolist()
+    for x, y, row in zip(xs, xs[1:], rows):
+        assert CycNumber(f20, row) == x.lift_to(f20)
+        assert (x * y).lift_to(f20) == x.lift_to(f20) * y.lift_to(f20)
 
 
 def test_json_round_trip():

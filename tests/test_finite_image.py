@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import deque
 
@@ -7,6 +8,7 @@ from sympy.combinatorics.free_groups import free_group
 
 import so3tqft.cycmatrix as cycmatrix
 import so3tqft.finite_image as finite_image
+import so3tqft.weil as weil
 from so3tqft.cli import MAX_ENUMERATION_R
 from so3tqft.cyclo import is_odd_prime
 from so3tqft.cycmatrix import CycMatrix
@@ -16,14 +18,11 @@ from so3tqft.finite_image import (
     identify_group,
     mod_r_graph_report,
     linear_lift_report,
-    proj_inverse,
     psl2_relators,
     sl2_relators,
     so3_closure,
     so3_generators,
     weil_closure,
-    weil_generators,
-    weil_image_equality,
 )
 from so3tqft.modular_data import build_modular_data, rho_genus1
 from so3tqft.levels import sl2_mul
@@ -53,6 +52,25 @@ def reference_closure(gens, max_order=10**7, names=None):
                 words[nxt.key()] = name + words[cur.key()]
                 queue.append(nxt)
     return elements, words, True
+
+
+# The real odd Weil pair, for the one-at-a-time search: the certificate route
+# never searches it.
+
+
+def proj_inverse(m: CycMatrix) -> CycMatrix:
+    """Inverse up to scalar for a matrix that is unitary up to scalar:
+    m * m^dagger must be scalar, and then m^-1 is proportional to m^dagger."""
+    h = m.conj_transpose()
+    if not (m @ h).is_scalar():
+        raise ValueError("matrix is not unitary up to scalar")
+    return h
+
+
+def weil_generators(r: int):
+    w = weil.build_weil(r)
+    gens = (w.r_s_odd, w.r_t_odd)
+    return ("s", "t", "S", "T"), gens + tuple(proj_inverse(g) for g in gens)
 
 
 @pytest.mark.parametrize("r", (5, 7))
@@ -255,18 +273,24 @@ def test_mod_r_graph_small():
 
 
 def test_weil_image_equality():
-    assert weil_image_equality(5)
-    assert weil_image_equality(7)
+    # the canonical-key comparison that the odd-block certificate replaced,
+    # kept as its oracle: the Weil generators and their inverses, each
+    # divided by its first nonzero entry, are those of the genus-1 pair
+    keys = lambda gens: [canonicalize(g).key() for g in gens]
+    for r in (5, 7):
+        rho_s, rho_t = rho_genus1(r)
+        genus1 = (rho_s, rho_t, proj_inverse(rho_s), proj_inverse(rho_t))
+        assert keys(weil_generators(r)[1]) == keys(genus1)
+        assert weil_closure(r) is so3_closure(r)
 
 
 def test_weil_certificate_rejects_a_tampered_generator(monkeypatch):
-    names, gens = weil_generators(5)
+    w = weil.build_weil(5)
     for tampered in (
-        (gens[0], gens[1] @ gens[1], gens[2], gens[3]),  # t replaced by t^2
-        (gens[1], gens[0], gens[2], gens[3]),  # s and t swapped
+        dataclasses.replace(w, r_s_odd=w.r_t_odd, r_t_odd=w.r_s_odd),  # blocks swapped
+        dataclasses.replace(w, r_t_odd=w.r_t_odd @ w.r_t_odd),  # t-block squared
     ):
-        monkeypatch.setattr(finite_image, "weil_generators", lambda r: (names, tampered))
-        assert not weil_image_equality(5)
+        monkeypatch.setattr(weil, "build_weil", lambda r: tampered)
         with pytest.raises(ArithmeticError):
             weil_closure(5)
 

@@ -12,6 +12,8 @@ from so3tqft.weil import (
     OddBlockMismatch,
     S_GEN,
     T_GEN,
+    _compose,
+    _monomial,
     _restrict_to_odd,
     apply_action,
     build_weil,
@@ -86,6 +88,29 @@ def test_word_normal_form():
         w1 = HeisenbergWord.of(r, rng.randrange(r), rng.randrange(r), rng.randrange(r))
         w2 = HeisenbergWord.of(r, rng.randrange(r), rng.randrange(r), rng.randrange(r))
         assert pres.rho_word(w1 * w2) == pres.rho_word(w1) @ pres.rho_word(w2)
+
+
+@pytest.mark.parametrize("r", PRIMES)
+def test_monomial_composition_matches_dense_products(r):
+    # the exponent route of the relation checks against the dense products
+    # of rho_word, on random Heisenberg words
+    pres = heisenberg_presentation(r)
+    f = pres.rho_x.field
+    rng = random.Random(r)
+    word = lambda: HeisenbergWord.of(r, *(rng.randrange(r) for _ in range(3)))
+    for _ in range(10):
+        w1, w2 = word(), word()
+        composed = _compose(_monomial(r, w1), _monomial(r, w2), 4 * r)
+        dense = pres.rho_word(w1) @ pres.rho_word(w2)
+        assert CycMatrix.roots(f, *composed) == dense == pres.rho_word(w1 * w2)
+
+
+def test_intertwiner_check_is_load_bearing(monkeypatch):
+    # with the action replaced by the identity, R_s rho(x) = rho(x) R_s is
+    # false, and the exponent check must say so
+    monkeypatch.setattr(weil, "apply_action", lambda m, r, w: w)
+    with pytest.raises(ArithmeticError, match="intertwiner"):
+        build_weil.__wrapped__(7)
 
 
 def test_action_on_generators():
