@@ -10,6 +10,7 @@ embedded complex values for spreadsheet use.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -99,20 +100,41 @@ def _complex_pair(z):
     return [z.real, z.imag]
 
 
+def _json_chunks(obj):
+    """The text of json.dumps(obj, sort_keys=True, separators=(",", ":")) in
+    pieces, so no whole-report string or chunk list is held: dicts and lists
+    are walked here, and a matrix entry's coefficients (anything with
+    json_text, see cycmatrix) are written from their array."""
+    if isinstance(obj, dict):
+        sep = "{"
+        for k, v in sorted(obj.items()):
+            yield sep + json.dumps(k if isinstance(k, str) else json.dumps(k)) + ":"
+            yield from _json_chunks(v)
+            sep = ","
+        yield "}" if sep == "," else "{}"
+    elif isinstance(obj, (list, tuple)):
+        sep = "["
+        for v in obj:
+            yield sep
+            yield from _json_chunks(v)
+            sep = ","
+        yield "]" if sep == "," else "[]"
+    elif hasattr(obj, "json_text"):
+        yield obj.json_text()
+    else:
+        yield json.dumps(obj)
+
+
 def _emit(report, args):
     if args.csv:
-        text = _to_csv(report)
+        chunks = [_to_csv(report)]
     else:
         report = {k: v for k, v in report.items() if k != "csv_rows"}
-        if args.json:
-            text = json.dumps(report, sort_keys=True, indent=None, separators=(",", ":"))
-        else:
-            text = _to_text(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        chunks = _json_chunks(report) if args.json else [_to_text(report)]
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.write("\n")
 
 
 def _to_text(report):
@@ -143,7 +165,7 @@ def _to_csv(report):
     rows = report.get("csv_rows")
     if rows is None:
         writer.writerow(["key", "value"])
-        flat = json.loads(json.dumps(report, sort_keys=True))
+        flat = json.loads("".join(_json_chunks(report)))
 
         def walk(prefix, obj):
             if isinstance(obj, dict):

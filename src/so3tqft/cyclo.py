@@ -17,10 +17,12 @@ Inversion is multimodular.  For x = num/den, the inverse of num is
 adj(M) e_0 / det(M), with M the integer matrix of multiplication by num; the
 Hadamard bound on M fixes how many primes p = 1 (mod N), p < 2^20, are
 needed.  Modulo each such prime Phi_N splits into linear factors, so
-adj(M) e_0 and det(M) are found in int64 numpy arithmetic by evaluating num
-at the phi(N) primitive N-th roots of unity mod p, taking products and
-interpolating back.  The Chinese remainder theorem and a symmetric lift give
-the exact integers, and one exact product x * x^-1 == 1 checks the result.
+adj(M) e_0 and det(M) are found by evaluating num at the phi(N) primitive
+N-th roots of unity mod p, taking products and interpolating back, in
+float64 numpy arithmetic reduced by x - p floor(x / p) (_mod), which is
+exact because every product of two residues is below 2^40.  The Chinese
+remainder theorem and a symmetric lift give the exact integers, and one
+exact product x * x^-1 == 1 checks the result.
 The primes and their roots are one table per field (CycField.split), which
 the matrix products of cycmatrix share.
 """
@@ -96,15 +98,27 @@ def work_dtype(bound: int):
     return np.int64 if bound < _INT64_GUARD else object
 
 
+def _mod(x, p):
+    """x - p floor(x / p) in place, for float64 integers |x| < 2^53: the
+    residue, or the residue minus p when the quotient rounds up (never for
+    |x| < 2p, where the quotient is far from its floor's rounding)."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
 class _SplitTable:
     """The primes of _split_primes(N) in order, each with the phi(N) primitive
     N-th roots of unity mod p and the inverses w of Phi_N' at them.  Empty
     until used, then extended only as far as one inversion or product has
-    needed.  For the primes that some matrix product has needed it also
-    keeps, as float64, the evaluation matrix (row k: the powers of the root
-    alpha_k) and the interpolation matrix (column k: w_k times the
-    coefficients of Phi_N / (x - alpha_k)), so fwd @ coefficients are the
-    values at the roots and back @ values the coefficients again, mod p."""
+    needed.  Each prime's float64 transforms are built on first use and kept:
+    the evaluation matrix (row k: the powers of the root alpha_k), which
+    every product and identity check needs, and the interpolation matrix
+    (column k: w_k times the coefficients of Phi_N / (x - alpha_k)), which
+    only a lifted product needs; fwd @ coefficients are the values at the
+    roots and back @ values the coefficients again, mod p."""
 
     def __init__(self, n: int, poly):
         self.n = n
@@ -116,7 +130,7 @@ class _SplitTable:
         self.p = np.zeros(0, dtype=np.int64)
         self.roots = np.zeros((0, d), dtype=np.int64)
         self.w = np.zeros((0, d), dtype=np.int64)
-        self.fwd = self.back = np.zeros((0, d, d))
+        self._fwd, self._back = {}, {}
 
     def take(self, bound: int):
         """(p, roots, w, P) for the shortest nonempty prefix of primes whose
@@ -134,28 +148,32 @@ class _SplitTable:
         k = bisect_right(self.products, bound)
         return self.p[:k], self.roots[:k], self.w[:k], self.products[k]
 
-    def transforms(self, k: int):
-        """(fwd, back), shape (k, d, d): the evaluation and interpolation
-        matrices of the first k primes, k <= len(self.p)."""
-        done = len(self.fwd)
-        if done < k:
-            p = self.p[done:k, None]
-            roots, w = self.roots[done:k], self.w[done:k]
-            d = roots.shape[1]
-            fwd = np.empty((k - done, d, d))
-            back = np.empty_like(fwd)
+    def forward(self, i: int):
+        """The (d, d) evaluation matrix of prime i, i < len(self.p)."""
+        fwd = self._fwd.get(i)
+        if fwd is None:
+            p, roots = self.p[i], self.roots[i]
+            fwd = np.empty((len(roots),) * 2)
             col = np.ones_like(roots)
-            for j in range(d):
-                fwd[:, :, j] = col
+            for j in range(len(roots)):
+                fwd[:, j] = col
                 col = col * roots % p
+            self._fwd[i] = fwd
+        return fwd
+
+    def backward(self, i: int):
+        """The (d, d) interpolation matrix of prime i, i < len(self.p)."""
+        back = self._back.get(i)
+        if back is None:
+            p, roots, w = self.p[i], self.roots[i], self.w[i]
+            back = np.empty((len(roots),) * 2)
             # the recurrence of CycNumber.inv: q_(d-1) = 1, q_(j-1) = c_j + alpha q_j
             q = np.ones_like(roots)
-            for j in range(d - 1, -1, -1):
-                back[:, j] = w * q % p
+            for j in range(len(roots) - 1, -1, -1):
+                back[j] = w * q % p
                 q = (q * roots + self.poly[j]) % p
-            self.fwd = np.concatenate([self.fwd, fwd])
-            self.back = np.concatenate([self.back, back])
-        return self.fwd[:k], self.back[:k]
+            self._back[i] = back
+        return back
 
     def _extend(self, primes):
         n, poly = self.n, self.poly
@@ -450,31 +468,39 @@ class CycNumber:
         s = sum(int(x).bit_length() for x in (m * m).sum(axis=1))
         ps, roots, w, big_p = f.split.take(1 << (1 + (s + 1) // 2))
 
-        p = ps[:, None]
+        # every product of two residues is below 2^40 and every sum of d such
+        # products below 2^53, so x - p floor(x / p) in float64 (_mod) is exact
+        p = ps[:, None].astype(np.float64)
+        roots, w = roots.astype(np.float64), w.astype(np.float64)
         dn = work_dtype(ma)
-        a = (np.array(self.num, dtype=dn) % ps.astype(dn)[:, None]).astype(np.int64)
+        a = (np.array(self.num, dtype=dn) % ps.astype(dn)[:, None]).astype(np.float64)
         v = np.zeros_like(roots)
         for j in range(d - 1, -1, -1):  # v = num(roots)
-            v = (v * roots + a[:, j, None]) % p
+            v = _mod(v * roots + a[:, j, None], p)
         # adj(M) e_0 takes the value prod_{l != k} num(alpha_l) at alpha_k;
-        # no residue is inverted, so a prime dividing det(M) serves as well
-        left = np.ones_like(v)
-        right = np.ones_like(v)
-        for k in range(1, d):
-            left[:, k] = left[:, k - 1] * v[:, k - 1] % ps
-            right[:, d - 1 - k] = right[:, d - k] * v[:, d - k] % ps
-        z = left * right % p * w % p
+        # no residue is inverted, so a prime dividing det(M) serves as well.
+        # left[k] = prod_{l < k} v_l and right[k] = prod_{l > k} v_l, by
+        # doubling the span of each product
+        left, right = np.ones_like(v), np.ones_like(v)
+        left[:, 1:], right[:, :-1] = v[:, :-1], v[:, 1:]
+        span = 1
+        while span < d:
+            left[:, span:] = _mod(left[:, span:] * left[:, :-span], p)
+            right[:, :-span] = _mod(right[:, :-span] * right[:, span:], p)
+            span *= 2
+        z = _mod(_mod(left * right, p) * w, p)
         # interpolate: adj(M) e_0 = sum_k z_k Phi(x) / (x - alpha_k), whose
         # coefficients are q_(d-1) = 1, q_(j-1) = c_j + alpha q_j
-        res = np.empty((len(ps), d + 1), dtype=np.int64)
-        res[:, d] = left[:, -1] * v[:, -1] % ps  # det(M)
+        res = np.empty((len(ps), d + 1))
+        res[:, d] = left[:, -1] * v[:, -1]  # det(M)
         q = np.ones_like(v)
         for j in range(d - 1, -1, -1):
-            res[:, j] = (z * q % p).sum(axis=1) % ps
-            q = (q * roots + f.poly[j]) % p
+            res[:, j] = (z * q).sum(axis=1)
+            q = _mod(q * roots + f.poly[j], p)
+        res = _mod(res, p)
 
         crt = [big_p // pi * pow(big_p // pi, -1, pi) for pi in ps.tolist()]
-        lifted = (res.T.astype(object) @ np.array(crt, dtype=object)) % big_p
+        lifted = (res.T.astype(np.int64).astype(object) @ np.array(crt, dtype=object)) % big_p
         y = [x - big_p if 2 * x > big_p else x for x in lifted.tolist()]
         u = CycNumber(f, [x * self.den for x in y[:d]], y[d])
         if self * u != f.one:

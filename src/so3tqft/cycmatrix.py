@@ -22,6 +22,18 @@ the primes' product is below 2^61 (work_dtype), in Python ints otherwise.
 The package sets OPENBLAS_NUM_THREADS=1 on import unless it is already set,
 so these small float64 matmuls run on one BLAS thread.
 
+An identity a b == c needs no product: _product_equals walks the split
+primes one at a time and compares both sides at the roots, which takes the
+forward matrix alone, with no interpolation, lift or normalization.
+CycMatrix.is_unitary, both orthogonality relations of a character table and
+its tensor certificate (sl2_char) are checked that way.  A product whose
+entries should be rational integers (the Frobenius sums of
+sl2_char.borel_check) is read by _rational_product: every root must give
+one value, and CRT over the first root's values gives the integers.  A lift
+still runs for every product whose coefficients are kept: @, scalar_mul,
+matpow, the closure search and the presentation certificates.  Each
+prime's interpolation matrix is built only once a lift needs it.
+
 Matrices of roots of unity are built from their exponents: CycMatrix.roots
 reads a monomial matrix (the diagonal rho(t), the Heisenberg matrices, the
 Weil intertwiner R_t) off the field's power table.  A diagonal one that is
@@ -31,16 +43,19 @@ presentation certificates of finite_image, the projective relations of
 modular_data and the Heegaard words of mfld3 all evaluate through it.
 
 CycNumber objects are built only at the API edge: indexing, entries, rows
-and embedding; to_json writes its coefficients straight from the array.
+and embedding.  to_json keeps each entry's coefficients as a view of the
+array (_Coefficients), written as JSON text only when the report is
+emitted, so no Python list per coefficient is built.
 """
 
 from __future__ import annotations
 
+import json
 from math import lcm
 
 import numpy as np
 
-from .cyclo import CycField, CycNumber, work_dtype
+from .cyclo import CycField, CycNumber, _mod, work_dtype
 
 __all__ = ["CycMatrix"]
 
@@ -51,34 +66,51 @@ def _max_abs(arr) -> int:
     return int(np.abs(arr).max(initial=0))
 
 
-def _mod(x, p):
-    """x - p floor(x / p) in place, for float64 integers |x| < 2^53: the
-    residue, or the residue minus p when the quotient rounds up (never for
-    |x| < 2p, where the quotient is far from its floor's rounding)."""
-    q = x / p
-    np.floor(q, out=q)
-    q *= p
-    x -= q
-    return x
-
-
 def _lift(res, ps, big_p):
     """The integers of magnitude below big_p / 2 with the residues
-    res[..., i, :, :] (float64, magnitude below ps[i]) modulo ps[i]: Garner's
+    res[..., i, :, :] (float64, magnitude at most ps[i]) modulo ps[i]: Garner's
     mixed radix with digits in [-p/2, p/2), summed in the dtype work_dtype
     picks for big_p: int64 for up to three primes, Python ints past."""
-    pl, digits = ps.tolist(), []
-    for p in pl:
+    digits = []
+    for p in ps:
         x = res[..., len(digits), :, :]
-        for q, v in zip(pl, digits):
+        for q, v in zip(ps, digits):
             x = _mod((x - v) * pow(q, -1, p), p)
         digits.append(_mod(x + p // 2, p) - p // 2)
     dt = work_dtype(big_p)
     out = np.zeros(digits[0].shape, dtype=dt)
-    for p, v in zip(pl[::-1], digits[::-1]):
+    for p, v in zip(ps[::-1], digits[::-1]):
         out *= p
         out += v.astype(np.int64).astype(dt, copy=False)
     return out
+
+
+def _values(field: CycField, i: int, x, mx: int):
+    """The blocks x (..., rows, cols, d), coefficients bounded by mx, at the
+    roots of Phi_N modulo split prime i: (..., d, rows, cols) float64, each
+    value congruent to the true one and of magnitude at most p (see _mod)."""
+    p = int(field.split.p[i])
+    d = x.shape[-1]
+    x = np.moveaxis(x, -1, -3)
+    if mx * d >> 33:  # the transform's sums would pass 2^53: reduce first
+        x = x % p
+    shape = x.shape[-2:]
+    x = x.astype(np.float64, order="C").reshape(x.shape[:-2] + (-1,))
+    x = _mod(field.split.forward(i) @ x, p)
+    return x.reshape(x.shape[:-1] + shape)
+
+
+def _primes_for(field: CycField, a, b, extra: int = 0):
+    """The split primes that prove the coefficients of the products of the
+    blocks a and b, plus anything of magnitude up to `extra`: their product
+    exceeds twice field.product_bound + extra.  Returns (primes, product,
+    max|a|, max|b|)."""
+    n, d = a.shape[-2:]
+    if max(n, d) >> 13:
+        raise OverflowError("float64 residue sums are exact only below 2^13 terms")
+    ma, mb = _max_abs(a), _max_abs(b)
+    ps, _, _, big_p = field.split.take(2 * (field.product_bound(ma, mb, n) + extra))
+    return ps.tolist(), big_p, ma, mb
 
 
 def _product(field: CycField, a, b):
@@ -87,28 +119,54 @@ def _product(field: CycField, a, b):
     the values at the roots of Phi_N modulo enough split primes to cover
     twice field.product_bound, one batched matmul per root, interpolation
     and CRT.  The result is int64 or, past the int64 lift, Python ints."""
-    n, d = a.shape[-2:]
-    if max(n, d) >> 13:
-        raise OverflowError("float64 residue sums are exact only below 2^13 terms")
-    ma, mb = _max_abs(a), _max_abs(b)
-    ps, _, _, big_p = field.split.take(2 * field.product_bound(ma, mb, n))
-    fwd, back = field.split.transforms(len(ps))
-    pf = ps[:, None, None].astype(np.float64)
-
-    def values(x, mx):
-        """x mod each prime at the roots: (..., primes, d, rows, cols)."""
-        x = np.moveaxis(x, -1, -3)[..., None, :, :, :]
-        if mx * d >> 33:  # the transform's sums would pass 2^53: reduce first
-            x = x % ps[:, None, None, None].astype(x.dtype)
-        shape = x.shape[-2:]
-        x = _mod(fwd @ x.astype(np.float64, order="C").reshape(x.shape[:-2] + (-1,)), pf)
-        return x.reshape(x.shape[:-1] + shape)
-
-    prod = values(a, ma) @ values(b, mb)
-    m, k = prod.shape[-2:]
-    prod = _mod(back @ _mod(prod.reshape(prod.shape[:-2] + (m * k,)), pf), pf)
-    out = _lift(prod, ps, big_p)
+    ps, big_p, ma, mb = _primes_for(field, a, b)
+    res = None
+    for i, p in enumerate(ps):
+        prod = _values(field, i, a, ma) @ _values(field, i, b, mb)
+        m, k = prod.shape[-2:]
+        prod = _mod(prod.reshape(prod.shape[:-2] + (m * k,)), p)
+        prod = _mod(field.split.backward(i) @ prod, p)
+        if res is None:
+            res = np.empty(prod.shape[:-2] + (len(ps),) + prod.shape[-2:])
+        res[..., i, :, :] = prod
+    out = _lift(res, ps, big_p)
     return np.moveaxis(out.reshape(out.shape[:-1] + (m, k)), -3, -1)
+
+
+def _product_equals(field: CycField, a, b, c) -> bool:
+    """Whether _product(field, a, b) == c, for an integer coefficient stack c
+    of the product's shape, decided without forming the product: at each
+    split prime in turn both sides are evaluated at the roots by the forward
+    matrix alone and compared pointwise, with no interpolation, lift or
+    normalization.  Evaluation is an isomorphism Z[zeta_N] / p -> F_p^d, so
+    agreement at every prime makes each coefficient of a b - c a multiple of
+    the primes' product, which exceeds twice the bound on its magnitude
+    (product_bound + max|c|): it is zero.  Stops at the first disagreement."""
+    mc = _max_abs(c)
+    ps, _, ma, mb = _primes_for(field, a, b, mc)
+    for i, p in enumerate(ps):
+        lhs = _mod(_values(field, i, a, ma) @ _values(field, i, b, mb), p)
+        if _mod(lhs - _values(field, i, c, mc), p).any():
+            return False
+    return True
+
+
+def _rational_product(field: CycField, a, b):
+    """The constant coefficients of the matrix product of the blocks a and b,
+    as integers, when every other coefficient is zero, and None otherwise.
+    At each split prime every entry must take one value at all d roots,
+    which makes it a constant mod p; the integers come from CRT over the
+    values at the first root alone, and cover twice product_bound as in
+    _product."""
+    ps, big_p, ma, mb = _primes_for(field, a, b)
+    res = []
+    for i, p in enumerate(ps):
+        v = _mod(_values(field, i, a, ma) @ _values(field, i, b, mb), p)
+        first = v[..., :1, :, :]
+        if _mod(v - first, p).any():
+            return None
+        res.append(first)
+    return _lift(np.concatenate(res, axis=-3), ps, big_p)
 
 
 def _normalize(arr, den):
@@ -141,6 +199,34 @@ def _stack_keys(arr, den):
     """The key() of each matrix arr[i] / den[i] of a normalized stack (see
     _normalize), without building the matrices."""
     return [_key(_storage(a), q) for a, q in zip(arr, den.tolist())]
+
+
+class _Coefficients:
+    """The coefficients num / den of one matrix entry as CycNumber.to_json
+    writes them, a [numerator, denominator] pair each reduced by its own gcd,
+    formed only when written: json_text() is their compact JSON, and the
+    object compares equal to, and reprs as, the list of pairs.  So a report
+    holds no Python list per coefficient."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den: int):
+        self.num = num
+        self.den = den
+
+    def tolist(self):
+        num = self.num if self.den <= _INT64_MAX else self.num.astype(object)
+        g = np.gcd(num, self.den)
+        return np.stack([num // g, self.den // g], axis=-1).tolist()
+
+    def json_text(self) -> str:
+        return json.dumps(self.tolist(), separators=(",", ":"))
+
+    def __eq__(self, other):
+        return self.tolist() == other
+
+    def __repr__(self):
+        return repr(self.tolist())
 
 
 class CycMatrix:
@@ -334,9 +420,15 @@ class CycMatrix:
         return self.rows == self.cols and self == self.transpose()
 
     def is_unitary(self):
+        """self @ self^H == I, checked pointwise at the roots (_product_equals)
+        as arr @ conj(arr)^T == den^2 I, with no product formed."""
         if self.rows != self.cols:
             return False
-        return (self @ self.conj_transpose()).is_identity()
+        ct = self.conj_transpose()
+        den = self.den * ct.den
+        eye = np.zeros(self.arr.shape, dtype=work_dtype(den))
+        eye[range(self.rows), range(self.rows), 0] = den
+        return _product_equals(self.field, self.arr, ct.arr, eye)
 
     def is_diagonal(self):
         off = ~np.eye(self.rows, self.cols, dtype=bool)
@@ -350,11 +442,9 @@ class CycMatrix:
 
     def to_json(self):
         """Entries in row-major order as CycNumber.to_json writes them, each
-        coefficient reduced over the common denominator by one gcd."""
-        arr = self.arr if self.den <= _INT64_MAX else self.arr.astype(object)
-        g = np.gcd(arr, self.den)
-        pairs = np.stack([arr // g, self.den // g], axis=-1).tolist()
-        entries = [{"n": self.field.n, "coeffs": c} for row in pairs for c in row]
+        entry's coefficients kept as a view of the array (_Coefficients)."""
+        n, den = self.field.n, self.den
+        entries = [{"n": n, "coeffs": _Coefficients(v, den)} for row in self.arr for v in row]
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     def __repr__(self):

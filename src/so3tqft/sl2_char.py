@@ -22,6 +22,16 @@ for all (a, b, c) at once mod p and then certified: for every class i the
 identity chi_a(i) chi_b(i) = sum_c M[a, b, c] chi_c(i) is checked exactly on
 the packed coefficient array of the table.  Row orthogonality makes the
 chi_c linearly independent, so the identity pins M as integers.
+
+None of these checks forms a product.  Both orthogonality relations and
+the tensor identity at every class are compared pointwise at the roots of
+Phi_exponent modulo split primes (cycmatrix._product_equals), with enough
+primes to cover twice the bound on each side.  borel_check reads its
+Frobenius sums the same way (cycmatrix._rational_product): every root must
+give one value, so each sum is a rational integer, recovered by CRT over
+one root's values; integrality, non-negativity and the induced degrees are
+then checked on those integers.  No interpolation runs in this module, and
+the only CRT lift is borel_check's, of one value per entry.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from .cyclo import get_field, work_dtype
-from .cycmatrix import CycMatrix, _max_abs, _product
+from .cycmatrix import CycMatrix, _max_abs, _product_equals, _rational_product
 from .levels import SUPPORTED_RANGE, is_odd_prime, is_prime, prime_divisors, sl2_mul
 
 __all__ = [
@@ -393,19 +403,21 @@ def _verify_orthogonality(table: FiniteGroupTable):
     matrix identity: X D X'^T = n I and X^T X' D = n I, where
     X[a, i] = chi_a(g_i), X'[a, i] = chi_a(g_i^-1) and D = diag(|C_i|).
     D is invertible, so the second is the column relation
-    X^T X' = diag(n / |C_i|)."""
+    X^T X' = diag(n / |C_i|).  Both are checked pointwise at the roots
+    (cycmatrix._product_equals), with no product formed."""
     g = table.group
     k = g.num_classes()
     x = table.values
-    f = x.field
     # w = D X'^T, w[i, a] = |C_i| chi_a(g_i^-1): row i of X'^T scaled by
     # |C_i|; its transpose is X' D
     x_inv_t = x.arr[:, g.inverse_class].transpose(1, 0, 2)
-    w = CycMatrix._from_array(f, _scaled_rows(x_inv_t, g.class_sizes), x.den)
-    n_id = CycMatrix._from_array(f, CycMatrix.identity(f, k).arr * g.order(), 1)
-    if x @ w != n_id:
+    w = _scaled_rows(x_inv_t, g.class_sizes)
+    scale = g.order() * x.den**2
+    n_id = np.zeros_like(x.arr, dtype=work_dtype(scale))
+    n_id[range(k), range(k), 0] = scale
+    if not _product_equals(x.field, x.arr, w, n_id):
         raise ArithmeticError("row orthogonality failed")
-    if x.transpose() @ w.transpose() != n_id:
+    if not _product_equals(x.field, x.arr.transpose(1, 0, 2), w.transpose(1, 0, 2), n_id):
         raise ArithmeticError("column orthogonality failed")
 
 
@@ -440,8 +452,8 @@ def _tensor_multiplicities(table: FiniteGroupTable) -> np.ndarray:
     flat = m.reshape(k * k, k).astype(dt)
     for i in range(k):
         col = arr[:, i : i + 1, :]
-        lhs = _product(f, col, col.transpose(1, 0, 2)).reshape(k * k, d)
-        if not np.array_equal(lhs, flat @ col[:, 0, :].astype(dt)):
+        rhs = (flat @ col[:, 0, :].astype(dt)).reshape(k, k, d)
+        if not _product_equals(f, col, col.transpose(1, 0, 2), rhs):
             raise ArithmeticError(f"tensor multiplicity certificate failed at class {i}")
     return m
 
@@ -586,18 +598,16 @@ def borel_check(r: int) -> dict:
     fg, fb = gt.value_field, bt.value_field
 
     # the Borel table in Q(zeta_e(G)), e(B) | e(G)
-    lifted = CycMatrix._from_array(fg, fg.lift_coeffs(bt.values.arr, fb), bt.values.den)
+    lifted = fg.lift_coeffs(bt.values.arr, fb)
     # Frobenius reciprocity: <Ind chi, psi>_G = <chi, Res psi>_B, for every
     # pair at once as (1/|B|) sum_bc chi(bc) |bc| psi(g_bc^-1); every
-    # element of a B-class lands in one G-class
+    # element of a B-class lands in one G-class.  The sums are read as
+    # rational integers at the roots (cycmatrix._rational_product)
     g_inv_of_bclass = [g.inverse_class[g.class_of[g.index[x]]] for x in b.class_reps]
     restricted = gt.values.arr[:, g_inv_of_bclass].transpose(1, 0, 2)
-    prod = lifted @ CycMatrix._from_array(
-        fg, _scaled_rows(restricted, b.class_sizes), gt.values.den
-    )
-    num = prod.arr[:, :, 0]
-    den = prod.den * nb
-    if prod.arr[:, :, 1:].any() or (num % den).any() or (num < 0).any():
+    num = _rational_product(fg, lifted, _scaled_rows(restricted, b.class_sizes))
+    den = bt.values.den * gt.values.den * nb
+    if num is None or (num % den).any() or (num < 0).any():
         raise ArithmeticError("induction multiplicity is not a non-negative integer")
     inductions = []
     for bdeg, mults in zip(bt.degrees, (num // den).tolist()):

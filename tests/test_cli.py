@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import so3tqft
-from so3tqft.cli import MAX_IMAGE_R, MAX_LEVEL, main
+from so3tqft.cli import MAX_IMAGE_R, MAX_LEVEL, build_parser, main
 from so3tqft.levels import is_odd_prime
 
 
@@ -356,3 +357,61 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["dim"] == 3
+
+
+def _coefficient_pairs(coeffs):
+    """A matrix entry's coefficients as CycNumber.to_json writes them, one
+    reduced [num, den] list per coefficient."""
+    fracs = (Fraction(int(x), coeffs.den) for x in coeffs.num)
+    return [[q.numerator, q.denominator] for q in fracs]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chartab", "--r", str(r), "--check-ltwo", "--check-borel", "--json"] for r in (5, 7, 11, 13)]
+    + [["modular-data", "--r", "13", "--json"]],
+)
+def test_streamed_json_equals_json_dumps(argv, tmp_path, capsys):
+    # the report written piece by piece is json.dumps of the same report with
+    # a list per coefficient, on stdout and through --out
+    args = build_parser().parse_args(argv)
+    _, report = args.fn(args)
+    report.pop("csv_rows", None)
+    want = json.dumps(report, sort_keys=True, separators=(",", ":"), default=_coefficient_pairs)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == want + "\n"
+    target = tmp_path / "out.json"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == want + "\n"
+
+
+_PEAK = """
+import contextlib, os, tracemalloc
+from so3tqft import cli, sl2_char
+tracemalloc.start()
+sl2_char.sl2_table(13)
+sl2_char.borel_check(13)
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = cli.main(["chartab", "--r", "13", "--check-ltwo", "--check-borel", "--json"])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_chartab_peak_memory():
+    # in a fresh process, so no cache is warm: the traced peak of the r = 13
+    # tables, the Borel check and the report's emission together.  It was
+    # 12.3 MB when the checks ran at the roots and the report was streamed,
+    # against 21.1 MB with products lifted and a list per coefficient
+    src = str(Path(so3tqft.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < 1.5 * 12.3e6

@@ -101,6 +101,18 @@ def test_conj_transpose_and_unitarity():
     assert not scaled.is_unitary()
 
 
+def test_is_unitary_rejects_a_scaled_or_changed_s():
+    md = build_modular_data(13)
+    s = md.s_unitary
+    f = md.field
+    assert s.is_unitary()
+    assert not s.scalar_mul(f.from_int(2)).is_unitary()
+    for i, j, p in [(0, 0, 0), (2, 5, 3), (5, 1, 1)]:
+        arr = s.arr.copy()
+        arr[i, j, p] += 1
+        assert not CycMatrix._from_array(f, arr, s.den).is_unitary()
+
+
 def test_shape_checks():
     f = get_field(20)
     with pytest.raises(ValueError):

@@ -8,7 +8,10 @@ int64 below 2^61, Python ints above.  Matrix products, which are taken at
 the roots of Phi_N modulo split primes, are also compared with the product
 on Python ints, with the bound on each side of one-, two- and three-prime
 products and of the int64 CRT lift, and a product with one prime fewer
-than the bound asks is shown to be wrong.  Inverses are compared with
+than the bound asks is shown to be wrong.  The identity check a b == c,
+which compares values at the roots with no product formed, is compared
+with the product on the same range, and with one prime fewer than its
+bound asks it is shown to accept a false identity.  Inverses are compared with
 sympy's invert where that finishes quickly (two-term numerators, or degree
 8) and otherwise checked by sympy's product.
 """
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 from sympy import QQ, Poly, cyclotomic_poly, invert, symbols
 
 from so3tqft.cyclo import _INT64_GUARD, CycField, CycNumber, _split_primes, get_field, work_dtype
-from so3tqft.cycmatrix import CycMatrix, _product
+from so3tqft.cycmatrix import CycMatrix, _product, _product_equals, _rational_product
 
 X = symbols("x")
 
@@ -228,6 +231,103 @@ def test_float64_products_match_python_int_products(n, data):
     assert [[tuple(x) for x in row] for row in got[0, 0].tolist()] == entrywise_product(
         f, a[0], b[0, 0]
     )
+
+
+@pytest.mark.parametrize("n", (20, 52, 148))
+@KERNEL
+@given(data=st.data())
+def test_product_check_agrees_with_the_product(n, data):
+    # the same range of coefficients and stack shapes as above; c is the true
+    # product, or the product with one coefficient moved by +-1
+    f = get_field(n)
+    d = f.degree
+    m, k, l, s = (data.draw(st.integers(1, 3)) for _ in range(4))
+    top = data.draw(st.integers(0, 70))
+    a = data.draw(st.lists(coeffs(d, 0, top), min_size=s * m * k, max_size=s * m * k))
+    b = data.draw(st.lists(coeffs(d, 0, top), min_size=k * l, max_size=k * l))
+    a = np.array(a, dtype=np.int64 if top < 63 else object).reshape(s, m, k, d)
+    b = np.array(b, dtype=np.int64 if top < 63 else object).reshape(k, l, d)
+    want = _product(f, a, b)
+    c = want.astype(object)
+    if data.draw(st.booleans()):
+        at = tuple(data.draw(st.integers(0, x - 1)) for x in c.shape)
+        c[at] += data.draw(st.sampled_from((1, -1)))
+    assert _product_equals(f, a, b, c) == np.array_equal(want, c)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_one_prime_fewer_than_the_bound_asks_accepts_a_false_identity(n, monkeypatch):
+    # c is a b with one coefficient moved by Q, the product of the first j
+    # split primes.  The bound, which counts max|c| >= Q, asks for j + 1
+    # primes, and the last of them rejects c; without it every prime divides
+    # Q and c passes
+    f = get_field(n)
+    d = f.degree
+    rng = np.random.default_rng(n)
+    a = rng.integers(-9, 10, size=(2, 3, d))
+    b = rng.integers(-9, 10, size=(3, 2, d))
+    want = object_product(f, a, b)
+    for j in (1, 2, 3):
+        c = want.copy()
+        c[1, 0, 1] += prod(islice(_split_primes(n), j))
+        with monkeypatch.context() as m:
+            counts = prime_counts(m, f)
+            assert not _product_equals(f, a, b, c)
+        assert counts == [j + 1]
+        take = f.split.take
+
+        def one_fewer(bound):
+            ps, roots, w, big_p = take(bound)
+            return ps[:-1], roots[:-1], w[:-1], big_p // int(ps[-1])
+
+        with monkeypatch.context() as m:
+            m.setattr(f.split, "take", one_fewer)
+            assert _product_equals(f, a, b, c)
+        assert _product_equals(f, a, b, want)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_the_check_compares_every_root(n):
+    # c = Q (zeta - alpha), with alpha = root k of the first split prime p0
+    # (|alpha| < p0 / 2) and Q the product of the next j - 1 primes: c
+    # vanishes at root k modulo each of the j primes its bound asks for, and
+    # only the other roots modulo p0 show that c != 0 = a b
+    f = get_field(n)
+    d = f.degree
+    zero = np.zeros((1, 1, d), dtype=np.int64)
+    ps, roots, _, _ = f.split.take(1)
+    p0 = int(ps[0])
+    for j in (1, 2, 3):
+        for k in (0, d - 1):
+            alpha = (int(roots[0, k]) + p0 // 2) % p0 - p0 // 2
+            c = np.zeros((1, 1, d), dtype=object)
+            c[0, 0, :2] = -alpha, 1
+            c *= prod(islice(_split_primes(n), 1, j))
+            assert not _product_equals(f, zero, zero, c)
+
+
+@pytest.mark.parametrize("n", (20, 52, 148))
+@KERNEL
+@given(data=st.data())
+def test_rational_product_reads_the_constant_coefficients(n, data):
+    # a b is rational when a and b are (constant coefficients only), and
+    # generically not otherwise
+    f = get_field(n)
+    d = f.degree
+    m, k, l = (data.draw(st.integers(1, 3)) for _ in range(3))
+    top = data.draw(st.integers(0, 70))
+    dt = np.int64 if top < 63 else object
+    a = np.array(data.draw(st.lists(coeffs(d, 0, top), min_size=m * k, max_size=m * k)), dtype=dt)
+    b = np.array(data.draw(st.lists(coeffs(d, 0, top), min_size=k * l, max_size=k * l)), dtype=dt)
+    a, b = a.reshape(m, k, d), b.reshape(k, l, d)
+    if data.draw(st.booleans()):
+        a[..., 1:], b[..., 1:] = 0, 0
+    want = object_product(f, a, b)
+    got = _rational_product(f, a, b)
+    if want[..., 1:].any():
+        assert got is None
+    else:
+        assert np.array_equal(got, want[..., 0])
 
 
 def cyc_matrix(draw, f, rows, cols, max_bits=62):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from so3tqft import sl2_char
 from so3tqft.cycmatrix import CycMatrix
 from so3tqft.cyclo import CycNumber
 from so3tqft.levels import SUPPORTED_RANGE, is_odd_prime, sl2_mul
@@ -354,6 +355,29 @@ def test_orthogonality_rejects_a_conjugated_value():
                 _verify_orthogonality(bad)
             tampered += 1
     assert tampered == 3
+
+
+def test_borel_check_rejects_a_conjugated_borel_value(monkeypatch):
+    # a conjugated value v of the Borel table moves one Frobenius sum by
+    # (conj(v) - v) |C_i| / |B| times a value of psi; against the trivial psi
+    # that is imaginary and nonzero, so the sum is no longer rational
+    bt = borel_table(7)
+    tampered = 0
+    for a, row in enumerate(bt.char_table):
+        for i, v in enumerate(row):
+            if v.conj() == v or tampered == 3:
+                continue
+            arr = bt.values.arr.copy()
+            arr[a, i] = v.conj().num
+            bad = copy.copy(bt)
+            bad.values = CycMatrix._from_array(bt.value_field, arr, 1)
+            with monkeypatch.context() as m:
+                m.setattr(sl2_char, "borel_table", lambda r: bad)
+                with pytest.raises(ArithmeticError):
+                    borel_check(7)
+            tampered += 1
+    assert tampered == 3
+    assert borel_check(7)["inductions"]
 
 
 def _dft_lift(table):
