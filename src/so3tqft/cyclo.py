@@ -7,7 +7,8 @@ canonical: two elements are equal iff their stored data are equal, so
 CycNumber is hashable and equality is O(1) exact.
 
 Multiplication is one numpy convolution followed by reduction against the
-precomputed rows for z^k, k >= phi(N) (CycField.reduce).  Every scalar
+rows for z^k, k >= phi(N), which like the conjugation rows are read off the
+power table of the zeta^k, k < N (CycField.reduce).  Every scalar
 product runs the same code; only the dtype of its work arrays is chosen per
 call: int64 when a worst-case magnitude bound proves it cannot overflow,
 numpy object arrays of Python ints otherwise (work_dtype), so results are
@@ -96,6 +97,18 @@ def work_dtype(bound: int):
     """dtype for exact integer work whose magnitudes are at most `bound`:
     int64 when that provably cannot overflow, Python ints (object) otherwise."""
     return np.int64 if bound < _INT64_GUARD else object
+
+
+def _max_abs(arr) -> int:
+    return int(np.abs(arr).max(initial=0))
+
+
+def _int_matmul(a, b):
+    """a @ b exactly, for integer arrays of any dtype: in int64 when
+    max|a| max|b| times the contracted length is below 2^61 (work_dtype),
+    in Python ints otherwise."""
+    dt = work_dtype(_max_abs(a) * _max_abs(b) * a.shape[-1])
+    return a.astype(dt, copy=False) @ b.astype(dt, copy=False)
 
 
 def _mod(x, p):
@@ -212,49 +225,23 @@ class CycField:
         d = len(phi) - 1
         self.degree = d
 
-        # rows[k - d] = coefficients of x^k mod Phi_n for k in [d, 2d-2]
-        rows = []
-        cur = [-c for c in phi[:-1]]
-        if d >= 1:
-            rows.append(tuple(cur))
-        for _ in range(d + 1, 2 * d - 1):
-            nxt = [0] + cur[: d - 1]
-            lead = cur[d - 1]
-            if lead:
-                for j in range(d):
-                    nxt[j] -= lead * phi[j]
-            cur = nxt
-            rows.append(tuple(cur))
-        self.red_np = (
-            np.array(rows, dtype=np.int64)
-            if rows
-            else np.zeros((0, d), dtype=np.int64)
-        )
-        self.red_max = int(np.abs(self.red_np).max()) if rows else 0
-
-        # power table: zeta^k in the basis, for k in [0, N)
+        # power table: zeta^k in the basis, for k in [0, N), by
+        # x^k = x * x^(k-1) with x^d = -(Phi_N - x^d)
+        top = -np.array(phi[:-1], dtype=np.int64)
         pw = np.zeros((n, d), dtype=np.int64)
-        cur = np.zeros(d, dtype=np.int64)
-        cur[0] = 1
-        for k in range(n):
-            pw[k] = cur
-            nxt = np.roll(cur, 1)
-            nxt[0] = 0
-            lead = cur[d - 1]
-            if lead and d >= 1 and len(rows):
-                nxt = nxt + lead * self.red_np[0]
-            cur = nxt
+        pw[0, 0] = 1
+        for k in range(1, n):
+            pw[k, 1:] = pw[k - 1, :-1]
+            pw[k] += pw[k - 1, -1] * top
+        pw.setflags(write=False)
         self.pw = pw
-        self.pw.setflags(write=False)
 
-        # conjugation zeta^j -> zeta^(N-j) as an integer matrix acting on
-        # coefficient vectors from the left: conj(v) = conj_mat @ v is wrong
-        # shape-wise; we use v @ conj_rows with conj_rows[j] = repr of zeta^(-j)
-        conj_rows = np.zeros((d, d), dtype=np.int64)
-        for j in range(d):
-            conj_rows[j] = pw[(n - j) % n]
-        self.conj_rows = conj_rows
-        self.conj_max = int(np.abs(conj_rows).max())
+        # x^k = zeta^(k mod N) modulo Phi_N, so the reduction rows x^k,
+        # d <= k <= 2d - 2, and the conjugates zeta^-j of the basis are
+        # rows of the power table
+        self.red_np = pw[np.arange(d, 2 * d - 1) % n]
+        self.red_max = _max_abs(self.red_np)
+        self.conj_rows = pw[-np.arange(d) % n]
 
         self.unit_complex = np.array(
             [cmath.exp(2j * cmath.pi * k / n) for k in range(d)]
@@ -289,16 +276,12 @@ class CycField:
         zeta_m^j being the power-table row of zeta_N^(j N/m)."""
         if self.n % source.n:
             raise ValueError("target modulus must be a multiple of the source")
-        rows = self.pw[self.n // source.n * np.arange(source.degree)]
-        ma = int(np.abs(arr).max(initial=0))
-        dt = work_dtype(source.degree * ma * int(np.abs(rows).max()))
-        return arr.astype(dt, copy=False) @ rows.astype(dt)
+        return _int_matmul(arr, self.pw[self.n // source.n * np.arange(source.degree)])
 
-    def conj_coeffs(self, arr, ma: int):
+    def conj_coeffs(self, arr):
         """Coefficients of the complex conjugates of the elements stored
-        along the last axis of arr, whose coefficients are bounded by ma."""
-        dt = work_dtype(ma * self.conj_max * self.degree)
-        return arr.astype(dt, copy=False) @ self.conj_rows.astype(dt, copy=False)
+        along the last axis of arr."""
+        return _int_matmul(arr, self.conj_rows)
 
     def zeta_power(self, k: int) -> "CycNumber":
         """zeta_N^k as an exact element (k may be any integer)."""
@@ -535,7 +518,7 @@ class CycNumber:
     def conj(self) -> "CycNumber":
         """Complex conjugation, the field automorphism zeta -> zeta^(-1)."""
         f = self.field
-        v = f.conj_coeffs(np.array(self.num, dtype=object), self.max_abs_coeff())
+        v = f.conj_coeffs(np.array(self.num, dtype=object))
         return CycNumber(f, v.tolist(), self.den)
 
     # -- comparisons / hashing ----------------------------------------------

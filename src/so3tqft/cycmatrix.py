@@ -38,7 +38,7 @@ Matrices of roots of unity are built from their exponents: CycMatrix.roots
 reads a monomial matrix (the diagonal rho(t), the Heisenberg matrices, the
 Weil intertwiner R_t) off the field's power table.  A diagonal one that is
 multiplied into words is kept as its exponents by _Letter, so its powers
-are power-table lookups and a product by it scales columns.  The
+are power-table lookups; a product by it is an ordinary _product.  The
 presentation certificates of finite_image, the projective relations of
 modular_data and the Heegaard words of mfld3 all evaluate through it.
 
@@ -55,15 +55,11 @@ from math import lcm
 
 import numpy as np
 
-from .cyclo import CycField, CycNumber, _mod, work_dtype
+from .cyclo import CycField, CycNumber, _max_abs, _mod, work_dtype
 
 __all__ = ["CycMatrix"]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _max_abs(arr) -> int:
-    return int(np.abs(arr).max(initial=0))
 
 
 def _lift(res, ps, big_p):
@@ -373,7 +369,7 @@ class CycMatrix:
 
     def conj_transpose(self) -> "CycMatrix":
         f = self.field
-        out = f.conj_coeffs(self.arr.transpose(1, 0, 2), _max_abs(self.arr))
+        out = f.conj_coeffs(self.arr.transpose(1, 0, 2))
         return CycMatrix._from_array(f, out, self.den)
 
     def transpose(self) -> "CycMatrix":
@@ -460,23 +456,11 @@ def _root_exponents(m: CycMatrix):
     return None if None in ks else np.array(ks)
 
 
-def _scale_columns(m: CycMatrix, ks) -> CycMatrix:
-    """m @ diag(zeta_N^k_j): column j of m times zeta_N^k_j, one einsum
-    against the power table's rows k_j + p, the coefficients of
-    zeta^p zeta_N^k_j."""
-    f = m.field
-    rows = f.pw[(ks[:, None] + np.arange(f.degree)) % f.n]  # (n, d, d)
-    dt = work_dtype(_max_abs(m.arr) * _max_abs(rows) * f.degree)
-    out = np.einsum("ijp,jpq->ijq", m.arr.astype(dt, copy=False), rows.astype(dt))
-    return CycMatrix._from_array(f, out, m.den)
-
-
 class _Letter:
     """A matrix to be raised to powers and multiplied into words, with its
     powers cached.  A diagonal of roots of unity (rho(t) and its lift) is
-    kept as its exponents: its powers, negative ones included, are read off
-    the power table and a product by one scales columns, O(n^2 d^2) against
-    the O(n^3 d^2) of a dense product."""
+    kept as its exponents, so its powers, negative ones included, are read
+    off the power table; a product by any power is an ordinary @."""
 
     __slots__ = ("mat", "exponents", "_powers")
 
@@ -505,8 +489,4 @@ class _Letter:
 
     def times(self, m, e: int) -> CycMatrix:
         """m @ mat^e, or mat^e when m is None."""
-        if m is None:
-            return self.power(e)
-        if self.exponents is not None:
-            return _scale_columns(m, self.exponents * e)
-        return m @ self.power(e)
+        return self.power(e) if m is None else m @ self.power(e)

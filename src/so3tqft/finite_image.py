@@ -13,9 +13,8 @@ PSL2(F_r), found by integer arithmetic mod r, and certified exactly: the
 word's matrix to the d is scalar, and to d/q is not for any prime q | d.
 The words are evaluated letter by letter through cycmatrix._Letter, which
 keeps a diagonal letter (rho(t) and its lift) as the exponents of its roots
-of unity, so its powers are read off the field's power table and a product
-by it scales columns, and only the dense letter rho(s) costs full matrix
-products.
+of unity, so its powers, negative ones included, are read off the field's
+power table; every product by a letter is one exact matrix product.
 
 The enumeration searches the group generated by the linear lift (m_s, m_t)
 and its inverses m^dagger, up to sign: linear_lift_report certifies that

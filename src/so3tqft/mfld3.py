@@ -9,7 +9,9 @@ the n_j on the diagonal and 1 on the first off-diagonals.  The invariant is
 
 where sigma is the signature of the linking matrix, computed exactly by
 rational congruence diagonalization.  The chain evaluation contracts twist
-weights through S~ along the Hopf edges, dividing by d at internal nodes.
+weights through S~ along the Hopf edges; at an internal node the d_i of the
+Kirby color cancels against the 1/d_i of the Hopf contraction, so no
+element is inverted.
 Anchors tau(S^3) = 1/D and tau(S^1 x S^2) = 1 hold exactly, as does
 invariance under adding a split +-1-framed unknot (a blow-up), because
 p_plus p_minus = D^2 exactly.
@@ -127,7 +129,8 @@ def signature(matrix) -> int:
 def omega_chain_bracket(md: ModularData, chain: ChainSurgery) -> CycNumber:
     """Chain evaluation with every component colored by the Kirby weight
     d_a / D and twisted by theta_a^{n_j}: adjacent components contract
-    through S~ and interior components divide by d."""
+    through S~, and at an interior component the weight's d_a cancels the
+    1/d_a of the contraction, leaving theta_a^{n_j} / D."""
     framings = chain.framings
     f = md.field
     if not framings:
@@ -152,7 +155,7 @@ def omega_chain_bracket(md: ModularData, chain: ChainSurgery) -> CycNumber:
     for j in range(1, k - 1):
         nxt = {b: f.zero for b in md.labels}
         for a in md.labels:
-            fac = cur[a] * weight(j, a) * md.qdim[a].inv()
+            fac = cur[a] * md.global_dim_inv * md.theta_power(a, framings[j])
             for b in md.labels:
                 nxt[b] = nxt[b] + fac * md.s_tilde[(idx[a], idx[b])]
         cur = nxt
@@ -210,9 +213,9 @@ LENS_WORD_SIGN = 1
 def heegaard_word_matrix(md: ModularData, word: str) -> CycMatrix:
     """Product of rho-images for a word over {s, t, S, T} (capitals are
     inverses), applied left to right, whitespace ignored.  Each run of t/T
-    is one column scaling by the diagonal rho(t) to the run's net exponent;
-    rho(s) is an exact involution, so it serves as its own inverse, and
-    only s/S cost dense products."""
+    is one product by the diagonal rho(t) to the run's net exponent, read
+    off the power table; rho(s) is an exact involution, so it serves as its
+    own inverse."""
     letters = "".join(word.split())
     for ch in letters:
         if ch not in "sStT":

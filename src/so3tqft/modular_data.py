@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def rho_genus1(r: int):
 
 def genus1_letters(rho_s: CycMatrix, rho_t: CycMatrix) -> dict:
     """The letters s, t and st of the genus-1 pair, each caching its powers;
-    t is diagonal, so st = rho(s) rho(t) is a column scaling."""
+    t is diagonal, so its powers are power-table lookups."""
     s, t = _Letter(rho_s), _Letter(rho_t)
     return {"s": s, "t": t, "st": _Letter(t.times(rho_s, 1))}
 
@@ -205,13 +206,10 @@ def dehn_twist_spectrum(r: int) -> SpectrumReport:
 
 
 def central_charge_order(md: ModularData) -> int:
-    """Multiplicative order of p_minus / D, verified by exact powering."""
-    kappa = md.p_minus * md.global_dim_inv
-    acc = kappa
-    order = 1
-    while acc != md.field.one:
-        acc = acc * kappa
-        order += 1
-        if order > 8 * md.r:
-            raise ArithmeticError("p_minus/D does not look like a root of unity")
-    return order
+    """Multiplicative order of p_minus / D, read off its exponent:
+    p_minus / D = zeta_4r^k has order 4r / gcd(k, 4r)."""
+    n = md.field.n
+    k = md.field.root_of_unity_exponent(md.p_minus * md.global_dim_inv)
+    if k is None:
+        raise ArithmeticError("p_minus/D is not a root of unity")
+    return n // gcd(k, n)

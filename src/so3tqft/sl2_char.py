@@ -43,8 +43,8 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .cyclo import get_field, work_dtype
-from .cycmatrix import CycMatrix, _max_abs, _product_equals, _rational_product
+from .cyclo import _int_matmul, _max_abs, get_field, work_dtype
+from .cycmatrix import CycMatrix, _product_equals, _rational_product
 from .levels import SUPPORTED_RANGE, is_odd_prime, is_prime, prime_divisors, sl2_mul
 
 __all__ = [
@@ -109,34 +109,27 @@ class FiniteGroup:
         self.class_reps = [elements[c[0]] for c in classes]
         self.class_sizes = [len(c) for c in classes]
 
-        self.class_orders = [self._element_order(g) for g in self.class_reps]
-        self.exponent = lcm(*self.class_orders)
         self.inverse_class = [
             self.class_of[self.index[sl2_inv(g, r)]] for g in self.class_reps
         ]
-        # power_map[i][t] = class of class_reps[i]^t, t in [0, order)
+        # power_map[i][t] = class of class_reps[i]^t, t in [0, order): the
+        # walk g^t up to the identity, whose length is the order of g
         self.power_map = []
-        for i, g in enumerate(self.class_reps):
-            row = []
-            y = self.identity
-            for _ in range(self.class_orders[i]):
+        for g in self.class_reps:
+            row = [self.class_of[self.index[self.identity]]]
+            y = g
+            while y != self.identity:
                 row.append(self.class_of[self.index[y]])
                 y = sl2_mul(y, g, r)
             self.power_map.append(row)
+        self.class_orders = [len(row) for row in self.power_map]
+        self.exponent = lcm(*self.class_orders)
 
     def order(self):
         return len(self.elements)
 
     def num_classes(self):
         return len(self.classes)
-
-    def _element_order(self, x):
-        o = 1
-        y = x
-        while y != self.identity:
-            y = sl2_mul(y, x, self.r)
-            o += 1
-        return o
 
     def class_mult_tensor(self):
         """The (k, k, k) int64 array a with K_i K_j = sum_l a[i, j, l] K_l:
@@ -447,12 +440,10 @@ def _tensor_multiplicities(table: FiniteGroupTable) -> np.ndarray:
     if table.values.den != 1:
         raise ArithmeticError("character values are not algebraic integers")
     arr = table.values.arr
-    d = f.degree
-    dt = work_dtype(k * (p - 1) * _max_abs(arr))
-    flat = m.reshape(k * k, k).astype(dt)
+    flat = m.reshape(k * k, k)
     for i in range(k):
         col = arr[:, i : i + 1, :]
-        rhs = (flat @ col[:, 0, :].astype(dt)).reshape(k, k, d)
+        rhs = _int_matmul(flat, col[:, 0, :]).reshape(k, k, f.degree)
         if not _product_equals(f, col, col.transpose(1, 0, 2), rhs):
             raise ArithmeticError(f"tensor multiplicity certificate failed at class {i}")
     return m

@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from so3tqft.cycmatrix import CycMatrix
 from so3tqft.cyclo import (
+    CycField,
     CycNumber,
     cyclotomic_polynomial,
     get_field,
@@ -238,3 +240,63 @@ def test_bigint_fallback_multiplication():
     prod = small * large
     # scaling by an integer commutes with the product (computed small-side)
     assert prod * 1000003 == small * (large * 1000003)
+
+
+def recurrence_tables(n):
+    """The reduction rows x^k mod Phi_n, d <= k <= 2d - 2, by the
+    recurrence x^(k+1) = x * x^k; the power table zeta^k, k < n, by the
+    same step against the row of x^d; and the conjugation rows zeta^-j,
+    j < d, copied out of it one by one."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    cur = [-c for c in phi[:-1]]
+    rows = [tuple(cur)]
+    for _ in range(d + 1, 2 * d - 1):
+        nxt = [0] + cur[: d - 1]
+        lead = cur[d - 1]
+        if lead:
+            for j in range(d):
+                nxt[j] -= lead * phi[j]
+        cur = nxt
+        rows.append(tuple(cur))
+    red = np.array(rows, dtype=np.int64)
+    pw = np.zeros((n, d), dtype=np.int64)
+    cur = np.zeros(d, dtype=np.int64)
+    cur[0] = 1
+    for k in range(n):
+        pw[k] = cur
+        nxt = np.roll(cur, 1)
+        nxt[0] = 0
+        cur = nxt + cur[d - 1] * red[0]
+    conj = np.zeros((d, d), dtype=np.int64)
+    for j in range(d):
+        conj[j] = pw[(n - j) % n]
+    return red, pw, conj
+
+
+def test_tables_read_off_the_power_table_match_the_recurrences():
+    for n in [*range(1, 400), 452, 660, 1092, 3420]:
+        f = CycField(n)  # not get_field: keep no table past its check
+        red, pw, conj = recurrence_tables(n)
+        assert np.array_equal(f.pw, pw), n
+        assert np.array_equal(f.conj_rows, conj), n
+        if f.degree >= 2:
+            assert np.array_equal(f.red_np, red), n
+            assert f.red_max == int(np.abs(red).max()), n
+        else:  # a degree-1 product has no tail to reduce
+            assert f.red_np.shape == (0, 1) and f.red_max == 0, n
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_degree_one_products_are_integer_products(n):
+    f = get_field(n)
+    rng = random.Random(n)
+    for span in (9, 1 << 40, 1 << 70):
+        a, b = ([[rng.randint(-span, span) for _ in range(3)] for _ in range(3)] for _ in "ab")
+        for x, y in zip(a[0], b[0]):
+            assert (CycNumber(f, [x]) * CycNumber(f, [y])).num == (x * y,)
+        m = CycMatrix.from_rows(f, [[CycNumber(f, [x]) for x in row] for row in a])
+        w = CycMatrix.from_rows(f, [[CycNumber(f, [y]) for y in row] for row in b])
+        want = np.array(a, dtype=object) @ np.array(b, dtype=object)
+        got = m @ w
+        assert (got.arr[:, :, 0] * got.den).tolist() == want.tolist()

@@ -405,15 +405,17 @@ def test_certified_order_is_exact():
     assert finite_image._certified_order(t, 14) is None
 
 
-@pytest.mark.parametrize("r", (5, 13))
+@pytest.mark.parametrize("r", (5, 13, 43))
 def test_diagonal_letters_match_dense_products(r):
     rho_s, rho_t = rho_genus1(r)
     t = finite_image._Letter(rho_t)
     assert t.exponents is not None
     assert finite_image._Letter(rho_s).exponents is None
     for e in (1, 2, (r + 1) // 2, r - 1, r):
-        assert t.power(e) == rho_t.matpow(e)
-        assert t.times(rho_s, e) == rho_s @ rho_t.matpow(e)
-        assert t.power(-e) == rho_t.conj_transpose().matpow(e)
+        t_e, t_minus_e = rho_t.matpow(e), rho_t.conj_transpose().matpow(e)
+        assert t.power(e) == t_e
+        assert t.times(rho_s, e) == rho_s @ t_e
+        assert t.power(-e) == t_minus_e
+        assert t.times(rho_s, -e) == rho_s @ t_minus_e
     with pytest.raises(ValueError):
         finite_image._Letter(rho_s).power(-1)

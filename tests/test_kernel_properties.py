@@ -4,7 +4,8 @@ Scalar products and conjugates are compared with sympy's remainder modulo
 the cyclotomic polynomial; matrix products, scalar multiples and sums with
 entrywise CycNumber arithmetic.  Scalar coefficients are drawn up to 2^62,
 so the work dtype chosen from the worst-case bound falls on both sides:
-int64 below 2^61, Python ints above.  Matrix products, which are taken at
+int64 below 2^61, Python ints above; the exact integer matmul
+(_int_matmul) is tested at the same switch.  Matrix products, which are taken at
 the roots of Phi_N modulo split primes, are also compared with the product
 on Python ints, with the bound on each side of one-, two- and three-prime
 products and of the int64 CRT lift, and a product with one prime fewer
@@ -26,7 +27,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly, cyclotomic_poly, invert, symbols
 
-from so3tqft.cyclo import _INT64_GUARD, CycField, CycNumber, _split_primes, get_field, work_dtype
+from so3tqft.cyclo import (
+    _INT64_GUARD,
+    CycField,
+    CycNumber,
+    _int_matmul,
+    _split_primes,
+    get_field,
+    work_dtype,
+)
 from so3tqft.cycmatrix import CycMatrix, _product, _product_equals, _rational_product
 
 X = symbols("x")
@@ -105,6 +114,25 @@ def test_scalar_mul_at_the_dtype_switch(n):
         assert work_dtype(f.product_bound(ma, m)) is dtype
         b = [m] * d
         assert (CycNumber(f, a, 1) * CycNumber(f, b, 1)).num == sympy_mul(a, b, n)
+
+
+@pytest.mark.parametrize("k", (1, 7, 224))
+def test_int_matmul_at_the_int64_switch(k):
+    # max|a| max|b| k just below 2^61 takes int64, just above Python ints,
+    # and both equal the product on Python ints
+    ma = 1 << 40
+    mb = (_INT64_GUARD - 1) // (ma * k)
+    a = np.array([[ma] * k, [-ma] * k, [ma if j % 2 else -ma for j in range(k)]])
+    for m, dtype in ((mb, np.int64), (mb + 1, object)):
+        assert (ma * m * k < _INT64_GUARD) == (dtype is np.int64)
+        b = np.full((k, 2), m, dtype=np.int64)
+        got = _int_matmul(a, b)
+        assert got.dtype == dtype
+        assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+    # object inputs whose values fit take int64
+    got = _int_matmul(a.astype(object), np.full((k, 2), mb, dtype=object))
+    assert got.dtype == np.int64
+    assert got.tolist() == (a.astype(object) @ np.full((k, 2), mb, dtype=object)).tolist()
 
 
 def _max(arr):

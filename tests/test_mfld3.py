@@ -353,3 +353,37 @@ def test_heegaard_word_names_the_first_bad_letter():
     md = build_modular_data(5)
     with pytest.raises(ValueError, match="'x'"):
         heegaard_word_matrix(md, "st T x y")
+
+
+def _bracket_dividing_by_d(md, framings):
+    """The chain bracket with the Kirby weight d_a / D theta_a^n at every
+    component and a division by d_a at each interior one."""
+    f = md.field
+    idx = {a: i for i, a in enumerate(md.labels)}
+
+    def weight(j, a):
+        return md.qdim[a] * md.global_dim_inv * md.theta_power(a, framings[j])
+
+    cur = {b: f.zero for b in md.labels}
+    for a in md.labels:
+        for b in md.labels:
+            cur[b] = cur[b] + weight(0, a) * md.s_tilde[(idx[a], idx[b])]
+    for j in range(1, len(framings) - 1):
+        nxt = {b: f.zero for b in md.labels}
+        for a in md.labels:
+            fac = cur[a] * weight(j, a) * md.qdim[a].inv()
+            for b in md.labels:
+                nxt[b] = nxt[b] + fac * md.s_tilde[(idx[a], idx[b])]
+        cur = nxt
+    return sum((cur[b] * weight(len(framings) - 1, b) for b in md.labels), f.zero)
+
+
+@pytest.mark.parametrize("r", (5, 7, 13))
+def test_interior_components_need_no_division(r):
+    md = build_modular_data(r)
+    rng = random.Random(r)
+    for k in (3, 4, 5):
+        for _ in range(2):
+            framings = tuple(rng.randint(-4, 4) for _ in range(k))
+            want = _bracket_dividing_by_d(md, framings)
+            assert omega_chain_bracket(md, ChainSurgery(framings)) == want, framings

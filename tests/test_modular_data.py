@@ -6,7 +6,7 @@ import pytest
 
 from so3tqft.cycmatrix import CycMatrix
 from so3tqft.cyclo import get_field
-from so3tqft.levels import is_odd_prime
+from so3tqft.levels import is_odd_prime, prime_divisors
 from so3tqft.modular_data import (
     a_root,
     build_modular_data,
@@ -150,6 +150,8 @@ def test_p_plus_p_minus():
         order = central_charge_order(md)
         kappa = md.p_minus / md.global_dim
         assert kappa ** order == md.field.one
+        for q in prime_divisors(order):  # and no proper divisor is an order
+            assert kappa ** (order // q) != md.field.one
         assert abs(abs(kappa.embed()) - 1) < 1e-12
 
 
