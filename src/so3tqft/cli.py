@@ -559,7 +559,8 @@ def build_parser():
 
     p = sub.add_parser("tau", help="3-manifold invariant of a chain surgery")
     add_common(p)
-    p.add_argument("--chain", default="", help="comma-separated framings, empty for S^3")
+    p.add_argument("--chain", default="", help="comma-separated framings, empty for S^3; "
+                   "a chain that starts negative needs '=': --chain=-1,2")
     p.add_argument("--heegaard", help="word over {s,t,S,T}")
     p.add_argument("--survey", type=int, help="collect |(0,0)| norms for words up to this length")
     p.set_defaults(fn=_cmd_tau)

@@ -38,9 +38,10 @@ Matrices of roots of unity are built from their exponents: CycMatrix.roots
 reads a monomial matrix (the diagonal rho(t), the Heisenberg matrices, the
 Weil intertwiner R_t) off the field's power table.  A diagonal one that is
 multiplied into words is kept as its exponents by _Letter, so its powers
-are power-table lookups; a product by it is an ordinary _product.  The
-presentation certificates of finite_image, the projective relations of
-modular_data and the Heegaard words of mfld3 all evaluate through it.
+are power-table lookups; a product by it is an ordinary _product.  _walk
+applies (letter, exponent) runs through _Letter.times to a start row or to
+nothing: the chain bracket of mfld3 (from the row q), heegaard_word_matrix,
+heegaard_tau (from the row e_0) and finite_image._relators_hold.
 
 CycNumber objects are built only at the API edge: indexing, entries, rows
 and embedding.  to_json keeps each entry's coefficients as a view of the
@@ -471,12 +472,13 @@ class _Letter:
 
     def power(self, e: int) -> CycMatrix:
         """mat^e, e >= 0 unless mat is diagonal; a dense one by squaring the
-        cached mat^(e//2)."""
+        cached mat^(e//2).  A diagonal one's exponents are taken times e mod
+        N, which keeps the int64 products exact for any e."""
         p = self._powers.get(e)
         if p is None:
             m = self.mat
             if self.exponents is not None:
-                p = CycMatrix.roots(m.field, self.exponents * e)
+                p = CycMatrix.roots(m.field, self.exponents * (e % m.field.n))
             elif e < 0:
                 raise ValueError("only a diagonal letter takes negative powers")
             elif e <= 1:
@@ -490,3 +492,11 @@ class _Letter:
     def times(self, m, e: int) -> CycMatrix:
         """m @ mat^e, or mat^e when m is None."""
         return self.power(e) if m is None else m @ self.power(e)
+
+
+def _walk(start, runs):
+    """start @ a^e @ b^f @ ... for the (letter, exponent) runs, by
+    _Letter.times; from None the word's matrix, None for no runs."""
+    for letter, e in runs:
+        start = letter.times(start, e)
+    return start

@@ -11,7 +11,7 @@ presentation of SL2(F_r), and its image distinguishes r = 1 from r = 3
 mod 4.  The projective order d of each generator word is its order in
 PSL2(F_r), found by integer arithmetic mod r, and certified exactly: the
 word's matrix to the d is scalar, and to d/q is not for any prime q | d.
-The words are evaluated letter by letter through cycmatrix._Letter, which
+The relators are walked by cycmatrix._walk through cycmatrix._Letter, which
 keeps a diagonal letter (rho(t) and its lift) as the exponents of its roots
 of unity, so its powers, negative ones included, are read off the field's
 power table; every product by a letter is one exact matrix product.
@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclo import CycNumber
-from .cycmatrix import CycMatrix, _Letter, _normalize, _product, _stack_keys
+from .cycmatrix import CycMatrix, _Letter, _normalize, _product, _stack_keys, _walk
 from .levels import prime_divisors, sl2_mul
 from .modular_data import genus1_letters, projective_relations, rho_genus1
 from .weil import verify_odd_block_identification
@@ -261,13 +261,10 @@ def _relators_hold(relators, x, y, holds) -> bool:
     (up to a scalar, when holds asks only for a scalar)."""
     letters = {"x": _Letter(x), "y": _Letter(y)}
     order = {w[0][0]: w[0][1] for w in relators if len(w) == 1}
-    for word in relators:
-        m = None
-        for letter, e in word:
-            m = letters[letter].times(m, e if e >= 0 else e % order[letter])
-        if not holds(m):
-            return False
-    return True
+    return all(
+        holds(_walk(None, ((letters[a], e if e >= 0 else e % order[a]) for a, e in word)))
+        for word in relators
+    )
 
 
 def mod_r_graph_report(r: int) -> dict:

@@ -8,10 +8,11 @@ the n_j on the diagonal and 1 on the first off-diagonals.  The invariant is
              Kirby color sum_i (d_i / D) * i> * (p_minus / D)^sigma,
 
 where sigma is the signature of the linking matrix, computed exactly by
-rational congruence diagonalization.  The chain evaluation contracts twist
-weights through S~ along the Hopf edges; at an internal node the d_i of the
-Kirby color cancels against the 1/d_i of the Hopf contraction, so no
-element is inverted.
+rational congruence diagonalization.  The chain evaluation is the genus-1
+word <chain> = D^-k q T^n_1 S~ T^n_2 ... S~ T^n_k q^T (Kirby-Melvin, Invent.
+Math. 105, 1991), q the row of quantum dimensions and T = diag(theta_i): at
+an internal component the d_i of the Kirby color cancels the 1/d_i of the
+Hopf contraction, so no element is inverted.
 Anchors tau(S^3) = 1/D and tau(S^1 x S^2) = 1 hold exactly, as does
 invariance under adding a split +-1-framed unknot (a blow-up), because
 p_plus p_minus = D^2 exactly.
@@ -19,7 +20,8 @@ p_plus p_minus = D^2 exactly.
 The same lens spaces arise from genus-1 Heegaard words s t^p s; the two
 routes agree in absolute value (the Heegaard normalization is only fixed up
 to a power of kappa = p_minus / D), which is checked exactly by comparing
-the squared norms x * conj(x).
+the squared norms x * conj(x).  Chains and Heegaard words are walked by
+cycmatrix._walk.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycNumber
-from .cycmatrix import CycMatrix, _Letter
+from .cycmatrix import CycMatrix, _Letter, _walk
 from .modular_data import ModularData, rho_genus1
 
 __all__ = [
@@ -126,43 +128,19 @@ def signature(matrix) -> int:
     return pos - neg
 
 
+def _first_row(m: CycMatrix) -> CycMatrix:
+    """Row 0 of m as a 1 x cols matrix."""
+    return CycMatrix._from_array(m.field, m.arr[:1], m.den)
+
+
 def omega_chain_bracket(md: ModularData, chain: ChainSurgery) -> CycNumber:
-    """Chain evaluation with every component colored by the Kirby weight
-    d_a / D and twisted by theta_a^{n_j}: adjacent components contract
-    through S~, and at an interior component the weight's d_a cancels the
-    1/d_a of the contraction, leaving theta_a^{n_j} / D."""
-    framings = chain.framings
-    f = md.field
-    if not framings:
-        return f.one
-
-    def weight(j, a):
-        return md.qdim[a] * md.global_dim_inv * md.theta_power(a, framings[j])
-
-    k = len(framings)
-    if k == 1:
-        acc = f.zero
-        for a in md.labels:
-            acc = acc + weight(0, a) * md.qdim[a]
-        return acc
-
-    idx = {a: i for i, a in enumerate(md.labels)}
-    cur = {b: f.zero for b in md.labels}
-    for a in md.labels:
-        wa = weight(0, a)
-        for b in md.labels:
-            cur[b] = cur[b] + wa * md.s_tilde[(idx[a], idx[b])]
-    for j in range(1, k - 1):
-        nxt = {b: f.zero for b in md.labels}
-        for a in md.labels:
-            fac = cur[a] * md.global_dim_inv * md.theta_power(a, framings[j])
-            for b in md.labels:
-                nxt[b] = nxt[b] + fac * md.s_tilde[(idx[a], idx[b])]
-        cur = nxt
-    acc = f.zero
-    for b in md.labels:
-        acc = acc + cur[b] * weight(k - 1, b)
-    return acc
+    """<chain> = D^-k q T^n_1 S~ ... S~ T^n_k q^T: entry 0 of the row q walked
+    through the integral letters T^n_j S~ (T = rho(t)^-1, S~ e_0 = q^T),
+    times D^-k; the empty chain reads d_0 = 1."""
+    s, t = _Letter(md.s_tilde), _Letter(rho_genus1(md.r)[1])
+    runs = [run for n in chain.framings for run in ((t, -n), (s, 1))]
+    row = _walk(_first_row(md.s_tilde), runs)
+    return row[0, 0] * md.global_dim_inv ** len(chain.framings)
 
 
 def kappa(md: ModularData) -> CycNumber:
@@ -210,31 +188,40 @@ def connected_sum(t1: InvariantValue, t2: InvariantValue, md: ModularData) -> In
 LENS_WORD_SIGN = 1
 
 
-def heegaard_word_matrix(md: ModularData, word: str) -> CycMatrix:
-    """Product of rho-images for a word over {s, t, S, T} (capitals are
-    inverses), applied left to right, whitespace ignored.  Each run of t/T
-    is one product by the diagonal rho(t) to the run's net exponent, read
-    off the power table; rho(s) is an exact involution, so it serves as its
-    own inverse."""
+def _heegaard_runs(md: ModularData, word: str) -> list:
+    """The (letter, exponent) runs of a word over {s, t, S, T} (capitals are
+    inverses), left to right, whitespace ignored.  Each run of t/T is one
+    run of the diagonal rho(t) to its net exponent, read off the power
+    table; rho(s) is an exact involution, so it serves as its own inverse."""
     letters = "".join(word.split())
     for ch in letters:
         if ch not in "sStT":
             raise ValueError(f"word letter {ch!r} not in {{s, t, S, T}}")
     rho_s, rho_t = rho_genus1(md.r)
-    t, out = _Letter(rho_t), None
-    for run in re.findall("[sS]|[tT]+", letters):
-        if run in "sS":
-            out = rho_s if out is None else out @ rho_s
-        else:
-            out = t.times(out, run.count("t") - run.count("T"))
+    s, t = _Letter(rho_s), _Letter(rho_t)
+    return [
+        (s, 1) if run in "sS" else (t, run.count("t") - run.count("T"))
+        for run in re.findall("[sS]|[tT]+", letters)
+    ]
+
+
+def heegaard_word_matrix(md: ModularData, word: str) -> CycMatrix:
+    """Product of rho-images for a word over {s, t, S, T}, applied left to
+    right (see _heegaard_runs); the identity for the empty word."""
+    out = _walk(None, _heegaard_runs(md, word))
     return CycMatrix.identity(md.field, len(md.labels)) if out is None else out
+
+
+def _heegaard_entry(md: ModularData, word: str) -> CycNumber:
+    """<e_0, rho(word) e_0>, the word walked from the row e_0."""
+    e_0 = _first_row(CycMatrix.identity(md.field, len(md.labels)))
+    return _walk(e_0, _heegaard_runs(md, word))[0, 0]
 
 
 def heegaard_tau(md: ModularData, word: str) -> float:
     """|<e_0, rho(word) e_0>|: the genus-1 Heegaard invariant up to the
     kappa-power ambiguity of the handlebody vector."""
-    m = heegaard_word_matrix(md, word)
-    return abs(m[(0, 0)].embed())
+    return abs(_heegaard_entry(md, word).embed())
 
 
 def lens_word(p: int, sign: int = LENS_WORD_SIGN) -> str:
@@ -245,7 +232,9 @@ def lens_word(p: int, sign: int = LENS_WORD_SIGN) -> str:
 def lens_routes_agree(md: ModularData, p: int, sign: int = LENS_WORD_SIGN) -> bool:
     """Exact two-route check for L(p, 1): |tau| of the chain (p) squared
     equals |<e_0, rho(lens_word(p, sign)) e_0>| squared, both as x * conj(x)
-    in Q(zeta_4r)."""
+    in Q(zeta_4r).  Both sides equal D^-2 sum_j d_j^2 theta_j^(-+p) up to
+    kappa^sigma, that is, conjugates: the check is that the chain's row walk
+    agrees with the dense product path of heegaard_word_matrix."""
     lhs = tau(md, ChainSurgery((p,))).value
     rhs = heegaard_word_matrix(md, lens_word(p, sign))[(0, 0)]
     return lhs * lhs.conj() == rhs * rhs.conj()

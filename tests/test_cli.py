@@ -415,3 +415,20 @@ def test_chartab_peak_memory():
     code, peak = map(int, proc.stdout.split())
     assert code == 0
     assert peak < 1.5 * 12.3e6
+
+
+def test_chain_with_a_leading_negative_framing(capsys):
+    # argparse reads "-1,2" after a space as an option, so it takes "="
+    from so3tqft.cyclo import CycNumber
+    from so3tqft.mfld3 import ChainSurgery, tau
+    from so3tqft.modular_data import build_modular_data
+
+    code, out, err = run(capsys, "tau", "--r", "7", "--chain=-1,2", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["chain"] == [-1, 2]
+    want = tau(build_modular_data(7), ChainSurgery((-1, 2))).value
+    assert CycNumber.from_json(report["value_exact"]) == want
+    code, out, err = run(capsys, "tau", "--r", "7", "--chain", "-1,2", "--json")
+    assert code == 2 and out == ""
+    assert "argument --chain: expected one argument" in err

@@ -8,6 +8,7 @@ from so3tqft.modular_data import build_modular_data, rho_genus1
 from so3tqft.mfld3 import (
     ChainSurgery,
     LENS_WORD_SIGN,
+    _heegaard_entry,
     connected_sum,
     heegaard_tau,
     heegaard_word_matrix,
@@ -349,6 +350,20 @@ def test_heegaard_word_matrix_matches_letter_by_letter_product(r):
         assert heegaard_word_matrix(md, word) == _dense_word_product(md, word), word
 
 
+@pytest.mark.parametrize("r", (5, 13, 43))
+def test_heegaard_row_walk_matches_the_dense_word(r):
+    # the row walked from e_0 gives entry (0, 0) of the dense word exactly
+    md = build_modular_data(r)
+    rng = random.Random(r)
+    words = ["", "t", "T", "tt", "t" * r, "T" * (r + 3), "tTt"]
+    for _ in range(10):
+        words.append("".join(rng.choice("sStT") for _ in range(rng.randint(1, 12))))
+    for word in words:
+        entry = _heegaard_entry(md, word)
+        assert entry == heegaard_word_matrix(md, word)[(0, 0)], word
+        assert heegaard_tau(md, word) == abs(entry.embed())
+
+
 def test_heegaard_word_names_the_first_bad_letter():
     md = build_modular_data(5)
     with pytest.raises(ValueError, match="'x'"):
@@ -357,13 +372,18 @@ def test_heegaard_word_names_the_first_bad_letter():
 
 def _bracket_dividing_by_d(md, framings):
     """The chain bracket with the Kirby weight d_a / D theta_a^n at every
-    component and a division by d_a at each interior one."""
+    component and a division by d_a at each interior one; the empty link
+    evaluates to 1 and one unknot colored a to d_a."""
     f = md.field
     idx = {a: i for i, a in enumerate(md.labels)}
 
     def weight(j, a):
         return md.qdim[a] * md.global_dim_inv * md.theta_power(a, framings[j])
 
+    if not framings:
+        return f.one
+    if len(framings) == 1:
+        return sum((weight(0, a) * md.qdim[a] for a in md.labels), f.zero)
     cur = {b: f.zero for b in md.labels}
     for a in md.labels:
         for b in md.labels:
@@ -378,12 +398,17 @@ def _bracket_dividing_by_d(md, framings):
     return sum((cur[b] * weight(len(framings) - 1, b) for b in md.labels), f.zero)
 
 
-@pytest.mark.parametrize("r", (5, 7, 13))
+@pytest.mark.parametrize("r", (5, 7, 13, 19))
 def test_interior_components_need_no_division(r):
+    # every chain length, the empty chain included, takes the one word walk
     md = build_modular_data(r)
     rng = random.Random(r)
-    for k in (3, 4, 5):
+    assert omega_chain_bracket(md, ChainSurgery(())) == _bracket_dividing_by_d(md, ())
+    for k in (1, 2, 3, 4, 5):
         for _ in range(2):
             framings = tuple(rng.randint(-4, 4) for _ in range(k))
             want = _bracket_dividing_by_d(md, framings)
             assert omega_chain_bracket(md, ChainSurgery(framings)) == want, framings
+    # framings past int64 once multiplied by a twist exponent
+    framings = (10**18 + 3, -(2**64) - 1)
+    assert omega_chain_bracket(md, ChainSurgery(framings)) == _bracket_dividing_by_d(md, framings)
