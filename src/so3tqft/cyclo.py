@@ -7,8 +7,11 @@ canonical: two elements are equal iff their stored data are equal, so
 CycNumber is hashable and equality is O(1) exact.
 
 Multiplication is one numpy convolution followed by reduction against the
-rows for z^k, k >= phi(N), which like the conjugation rows are read off the
-power table of the zeta^k, k < N (CycField.reduce).  Every scalar
+rows for z^k, k >= phi(N) (CycField.reduce).  Those rows, the conjugation
+rows and the whole power table of the zeta^k, k < N, are all zeta^k reduced
+modulo Phi_N, made by one routine (CycField.rows) and each built only when
+first read: a large field, such as the one Dixon's character values live
+in, builds no (N, d) table unless a caller asks for one.  Every scalar
 product runs the same code; only the dtype of its work arrays is chosen per
 call: int64 when a worst-case magnitude bound proves it cannot overflow,
 numpy object arrays of Python ints otherwise (work_dtype), so results are
@@ -33,7 +36,7 @@ from __future__ import annotations
 import cmath
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count
 from math import gcd
 
@@ -212,8 +215,9 @@ class _SplitTable:
 
 
 class CycField:
-    """Shared immutable data for Q(zeta_N): reduction tables, power tables,
-    and the pieces of the exact product kernel.  Obtain instances via
+    """Shared immutable data for Q(zeta_N): the cyclotomic polynomial, the
+    pieces of the exact product kernel, and the tables read off the powers
+    of zeta (rows), each built on first use and kept.  Obtain instances via
     get_field(N)."""
 
     def __init__(self, n: int):
@@ -225,24 +229,6 @@ class CycField:
         d = len(phi) - 1
         self.degree = d
 
-        # power table: zeta^k in the basis, for k in [0, N), by
-        # x^k = x * x^(k-1) with x^d = -(Phi_N - x^d)
-        top = -np.array(phi[:-1], dtype=np.int64)
-        pw = np.zeros((n, d), dtype=np.int64)
-        pw[0, 0] = 1
-        for k in range(1, n):
-            pw[k, 1:] = pw[k - 1, :-1]
-            pw[k] += pw[k - 1, -1] * top
-        pw.setflags(write=False)
-        self.pw = pw
-
-        # x^k = zeta^(k mod N) modulo Phi_N, so the reduction rows x^k,
-        # d <= k <= 2d - 2, and the conjugates zeta^-j of the basis are
-        # rows of the power table
-        self.red_np = pw[np.arange(d, 2 * d - 1) % n]
-        self.red_max = _max_abs(self.red_np)
-        self.conj_rows = pw[-np.arange(d) % n]
-
         self.unit_complex = np.array(
             [cmath.exp(2j * cmath.pi * k / n) for k in range(d)]
         )
@@ -251,6 +237,55 @@ class CycField:
 
         self.one = CycNumber(self, (1,) + (0,) * (d - 1), 1, _normalized=True)
         self.zero = CycNumber(self, (0,) * d, 1, _normalized=True)
+
+    def rows(self, ks):
+        """zeta^k in the power basis for each integer k of the array ks (any
+        sign or size), as an int64 array of shape ks.shape + (d,): the
+        remainder of x^(k mod N) modulo Phi_N, by the recurrence
+        x^k = x * x^(k-1) with x^d = -(Phi_N - x^d), walked up to the
+        largest k mod N asked for and kept only at the k asked for."""
+        ks = np.asarray(ks, dtype=np.int64) % self.n
+        flat = ks.ravel().tolist()
+        want = sorted(set(flat))
+        d = self.degree
+        top = -np.array(self.poly[:-1], dtype=np.int64)
+        out = np.empty((len(want), d), dtype=np.int64)
+        row = np.zeros(d, dtype=np.int64)
+        row[0] = 1
+        k = 0
+        for j, target in enumerate(want):
+            for _ in range(k, target):
+                lead = row[-1]
+                row[1:] = row[:-1]
+                row[0] = 0
+                row += lead * top
+            k = target
+            out[j] = row
+        at = {k: j for j, k in enumerate(want)}
+        return out[[at[k] for k in flat]].reshape(ks.shape + (d,))
+
+    @cached_property
+    def pw(self):
+        """The power table, rows(arange(N)): the (N, d) array that the
+        monomial matrices and root lookups of the small fields read."""
+        pw = self.rows(np.arange(self.n))
+        pw.setflags(write=False)
+        return pw
+
+    @cached_property
+    def red_np(self):
+        """The reduction rows x^k, d <= k <= 2d - 2, which are zeta^k since
+        x^N = 1 modulo Phi_N."""
+        return self.rows(np.arange(self.degree, 2 * self.degree - 1))
+
+    @cached_property
+    def red_max(self) -> int:
+        return _max_abs(self.red_np)
+
+    @cached_property
+    def conj_rows(self):
+        """The conjugates zeta^-j of the basis, j < d."""
+        return self.rows(-np.arange(self.degree))
 
     def __repr__(self):
         return f"CycField(Q(zeta_{self.n}))"
@@ -273,10 +308,10 @@ class CycField:
     def lift_coeffs(self, arr, source: "CycField"):
         """Coefficients here of the elements of Q(zeta_m), m | N, stored
         along the last axis of arr: the image under zeta_m -> zeta_N^(N/m),
-        zeta_m^j being the power-table row of zeta_N^(j N/m)."""
+        zeta_m^j being the row of zeta_N^(j N/m)."""
         if self.n % source.n:
             raise ValueError("target modulus must be a multiple of the source")
-        return _int_matmul(arr, self.pw[self.n // source.n * np.arange(source.degree)])
+        return _int_matmul(arr, self.rows(self.n // source.n * np.arange(source.degree)))
 
     def conj_coeffs(self, arr):
         """Coefficients of the complex conjugates of the elements stored

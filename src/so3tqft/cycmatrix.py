@@ -25,14 +25,13 @@ so these small float64 matmuls run on one BLAS thread.
 An identity a b == c needs no product: _product_equals walks the split
 primes one at a time and compares both sides at the roots, which takes the
 forward matrix alone, with no interpolation, lift or normalization.
-CycMatrix.is_unitary, both orthogonality relations of a character table and
-its tensor certificate (sl2_char) are checked that way.  A product whose
-entries should be rational integers (the Frobenius sums of
-sl2_char.borel_check) is read by _rational_product: every root must give
-one value, and CRT over the first root's values gives the integers.  A lift
-still runs for every product whose coefficients are kept: @, scalar_mul,
-matpow, the closure search and the presentation certificates.  Each
-prime's interpolation matrix is built only once a lift needs it.
+CycMatrix.is_unitary is checked that way.  The character-table
+certificates of sl2_char also work at the roots, but from the eigenvalue
+multiplicities of Dixon's method, with no power-basis table to transform;
+sl2_char.borel_check reads its Frobenius integers with _lift.
+A lift still runs for every product whose coefficients are kept: @,
+scalar_mul, matpow, the closure search and the presentation certificates.
+Each prime's interpolation matrix is built only once a lift needs it.
 
 Matrices of roots of unity are built from their exponents: CycMatrix.roots
 reads a monomial matrix (the diagonal rho(t), the Heisenberg matrices, the
@@ -146,24 +145,6 @@ def _product_equals(field: CycField, a, b, c) -> bool:
         if _mod(lhs - _values(field, i, c, mc), p).any():
             return False
     return True
-
-
-def _rational_product(field: CycField, a, b):
-    """The constant coefficients of the matrix product of the blocks a and b,
-    as integers, when every other coefficient is zero, and None otherwise.
-    At each split prime every entry must take one value at all d roots,
-    which makes it a constant mod p; the integers come from CRT over the
-    values at the first root alone, and cover twice product_bound as in
-    _product."""
-    ps, big_p, ma, mb = _primes_for(field, a, b)
-    res = []
-    for i, p in enumerate(ps):
-        v = _mod(_values(field, i, a, ma) @ _values(field, i, b, mb), p)
-        first = v[..., :1, :, :]
-        if _mod(v - first, p).any():
-            return None
-        res.append(first)
-    return _lift(np.concatenate(res, axis=-3), ps, big_p)
 
 
 def _normalize(arr, den):

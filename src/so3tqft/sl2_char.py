@@ -11,27 +11,26 @@ reading off root-of-unity multiplicities with a discrete Fourier transform
 mod p.  The eigenvectors come from one matrix M(x) = sum_i x^i M_i with k
 distinct eigenvalues: its eigenspaces are lines that every M_i preserves,
 each the column space of a projection prod_{mu != lambda} (M(x) - mu I).
-Every stage works on integer arrays, the lift as one matmul per class, and
-the result is one packed table: FiniteGroupTable.values, a CycMatrix over
-Q(zeta_exponent) holding chi_a(g_i) at (a, i).  Row and column
-orthogonality are each verified as one exact identity on it; CycNumber
-entries are built only where a caller asks for them.
+Every stage works on integer arrays.  The lift keeps the multiplicities,
+FiniteGroupTable.mus, which every certificate checks; the power basis of
+Q(zeta_exponent) is built only for output, as mus times the rows
+zeta_e^(s e/m) (CycField.rows): FiniteGroupTable.values, a CycMatrix
+holding chi_a(g_i) at (a, i).  CycNumber entries are built only where a
+caller asks for them.
 
 Tensor-product multiplicities M[a, b, c] = <chi_a chi_b, chi_c> are read off
 for all (a, b, c) at once mod p and then certified: for every class i the
-identity chi_a(i) chi_b(i) = sum_c M[a, b, c] chi_c(i) is checked exactly on
-the packed coefficient array of the table.  Row orthogonality makes the
-chi_c linearly independent, so the identity pins M as integers.
+identity chi_a(i) chi_b(i) = sum_c M[a, b, c] chi_c(i) is checked exactly.
+Row orthogonality makes the chi_c linearly independent, so the identity
+pins M as integers.
 
-None of these checks forms a product.  Both orthogonality relations and
-the tensor identity at every class are compared pointwise at the roots of
-Phi_exponent modulo split primes (cycmatrix._product_equals), with enough
-primes to cover twice the bound on each side.  borel_check reads its
-Frobenius sums the same way (cycmatrix._rational_product): every root must
-give one value, so each sum is a rational integer, recovered by CRT over
-one root's values; integrality, non-negativity and the induced degrees are
-then checked on those integers.  No interpolation runs in this module, and
-the only CRT lift is borel_check's, of one value per entry.
+None of these checks forms a product or transforms a table: both
+orthogonality relations, the tensor identity and the Frobenius sums of
+borel_check are evaluated at the roots of Phi_exponent modulo split primes,
+straight from the multiplicities (see "certificates at the roots" below).
+borel_check requires each Frobenius sum to take one value at every root,
+reads that rational integer by symmetric CRT, and checks integrality,
+non-negativity and the induced degrees on it.
 """
 
 from __future__ import annotations
@@ -39,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .cyclo import _int_matmul, _max_abs, get_field, work_dtype
-from .cycmatrix import CycMatrix, _product_equals, _rational_product
+from .cyclo import _int_matmul, _mod, get_field
+from .cycmatrix import CycMatrix, _lift
 from .levels import SUPPORTED_RANGE, is_odd_prime, is_prime, prime_divisors, sl2_mul
 
 __all__ = [
@@ -134,9 +133,9 @@ class FiniteGroup:
     def class_mult_tensor(self):
         """The (k, k, k) int64 array a with K_i K_j = sum_l a[i, j, l] K_l:
         a[i, j, l] counts the x in C_i with x^-1 z_l in C_j, for one
-        representative z_l per class.  All k n products x^-1 z_l are formed
-        at once on the entries mod r, and their classes read from a table
-        indexed by the entries."""
+        representative z_l per class.  For each z_l the n products x^-1 z_l
+        are formed at once on the entries mod r, and their classes read from
+        a table indexed by the entries."""
         r, k = self.r, self.num_classes()
 
         def code(a, b, c, d):
@@ -145,12 +144,14 @@ class FiniteGroup:
         a, b, c, d = np.array(self.elements, dtype=np.int64).T
         class_at = np.zeros(r**4, dtype=np.int64)
         class_at[code(a, b, c, d)] = self.class_of
-        # x^-1 = [[d, -b], [-c, a]] times z_l = [[z0, z1], [z2, z3]]: (k, n)
-        z0, z1, z2, z3 = np.array(self.class_reps, dtype=np.int64).T[:, :, None]
-        j = class_at[code((d * z0 - b * z2) % r, (d * z1 - b * z3) % r,
-                          (a * z2 - c * z0) % r, (a * z3 - c * z1) % r)]
-        flat = (np.array(self.class_of) * k + j) * k + np.arange(k)[:, None]
-        return np.bincount(flat.ravel(), minlength=k**3).reshape(k, k, k)
+        row = np.array(self.class_of) * k
+        out = np.empty((k, k, k), dtype=np.int64)
+        # x^-1 = [[d, -b], [-c, a]] times z_l = [[z0, z1], [z2, z3]]
+        for l, (z0, z1, z2, z3) in enumerate(self.class_reps):
+            j = class_at[code((d * z0 - b * z2) % r, (d * z1 - b * z3) % r,
+                              (a * z2 - c * z0) % r, (a * z3 - c * z1) % r)]
+            out[:, :, l] = np.bincount(row + j, minlength=k * k).reshape(k, k)
+        return out
 
 
 def _check_desk_scale(r):
@@ -264,7 +265,10 @@ def _split_eigenvectors(tensor, p, k):
 @dataclass
 class FiniteGroupTable:
     """Conjugacy data plus the exact character table of a finite group:
-    `values` holds chi_a(g_i) at (a, i) over Q(zeta_exponent)."""
+    `mus[a, i, s]` is the multiplicity of zeta_m^s (m the order of class i,
+    s < m; zero past m) as an eigenvalue of g_i in chi_a, the data the
+    certificates check, and `values` holds chi_a(g_i) =
+    sum_s mus[a, i, s] zeta_m^s at (a, i) over Q(zeta_exponent)."""
 
     r: int
     group_name: str
@@ -273,6 +277,7 @@ class FiniteGroupTable:
     values: CycMatrix = dc_field(default=None)      # [irrep, class]
     char_table_modp: list = dc_field(default=None)  # same, residues mod p
     dixon_prime: int = 0
+    mus: np.ndarray = dc_field(default=None, compare=False)
     # [a, b, c] = <chi_a chi_b, chi_c>, certified by _tensor_multiplicities
     tensor_mults: np.ndarray = dc_field(default=None, compare=False)
 
@@ -347,26 +352,24 @@ def dixon_char_table(table: FiniteGroupTable) -> FiniteGroupTable:
     degrees = [degrees[a] for a in order]
     chis = chis[order]
 
-    # exact lift: mus[a, s] is the multiplicity of zeta_m^s as an eigenvalue
-    # of g_i in chi_a, read off by one DFT mod p per class; then
-    # chi_a(g_i) = sum_s mus[a, s] zeta_m^s, with zeta_m = zeta_e^(e/m)
+    # exact lift: mus[a, i, s] is the multiplicity of zeta_m^s as an
+    # eigenvalue of g_i in chi_a, read off by one DFT mod p per class
     e = g.exponent
-    f = get_field(e)
     lam_e = pow(_primitive_root(p), (p - 1) // e, p)
-    max_mu = np.array(degrees)[:, None]
-    values = np.zeros((k, k, f.degree), dtype=np.int64)
+    mus = np.zeros((k, k, max(g.class_orders)), dtype=np.int64)
     for i, (m, powers) in enumerate(zip(g.class_orders, g.power_map)):
         lam_m = pow(lam_e, e // m, p)
         lam_pows = np.array([pow(lam_m, t, p) for t in range(m)], dtype=np.int64)
         ts = np.arange(m)
         dft = lam_pows[-np.outer(ts, ts) % m]  # [t, s] = lam_m^(-st)
-        mus = chis[:, powers] @ dft % p * pow(m, p - 2, p) % p
-        if (mus > max_mu).any():
-            raise ArithmeticError("eigenvalue multiplicity out of range")
-        values[:, i] = mus @ f.pw[(e // m) * ts]
+        mus[:, i, :m] = chis[:, powers] @ dft % p * pow(m, p - 2, p) % p
+    if (mus > np.array(degrees)[:, None, None]).any():
+        raise ArithmeticError("eigenvalue multiplicity out of range")
 
     table.degrees = degrees
-    table.values = CycMatrix._from_array(f, values, 1)
+    table.mus = mus
+    # denominator 1 is already canonical, so the table is stored as built
+    table.values = CycMatrix._from_normalized(get_field(e), _power_basis(mus, g.class_orders, e), 1)
     table.char_table_modp = chis.tolist()
     table.dixon_prime = p
 
@@ -383,45 +386,110 @@ def _sqrt_mod(a, p):
     return None
 
 
-def _scaled_rows(arr, sizes):
-    """The coefficient array arr (rows, cols, d) with row i times sizes[i],
-    in a dtype that holds the products."""
-    sizes = np.asarray(sizes)
-    dt = work_dtype(int(sizes.max()) * _max_abs(arr))
-    return arr.astype(dt) * sizes.astype(dt)[:, None, None]
+def _power_basis(mus, orders, e):
+    """The (k, k, d) coefficients over Q(zeta_e) of the values
+    sum_s mus[a, i, s] zeta_m^s, m = orders[i]: mus times the rows
+    zeta_e^(s e/m) (CycField.rows), each distinct row built once."""
+    s = np.arange(mus.shape[-1])
+    m = np.array(orders)[:, None]
+    ks, idx = np.unique(np.where(s < m, s * (e // m), 0), return_inverse=True)
+    f = get_field(e)
+    rows = f.rows(ks)
+    out = np.empty(mus.shape[:2] + (f.degree,), dtype=np.int64)
+    for i, js in enumerate(idx.reshape(len(orders), -1)):
+        out[:, i] = _int_matmul(mus[:, i], rows[js])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# certificates at the roots of Phi_e
+#
+# A character value chi_a(g_i) = sum_s mus[a, i, s] zeta_m^s lies in
+# Z[zeta_e].  For a split prime p = 1 (mod e) and omega of order e mod p, the
+# roots of Phi_e mod p are omega^u for the units u mod e, and evaluation at
+# them maps Z[zeta_e] / p onto F_p^d.  The value at omega^u is
+# sum_s mus[a, i, s] omega^(u s e/m), which depends on u mod m alone: one
+# gather from the table w[a, i, t] = sum_s mus[a, i, s] omega^(t s e/m)
+# (_class_values), with no power basis and no transform.  An identity x = 0,
+# x in Z[zeta_e], that holds at every root modulo primes with product P puts
+# x in P Z[zeta_e]; if also |sigma(x)| < P for every embedding sigma, the
+# norm of x is below P^d in modulus and divisible by P^d, so x = 0.  Every
+# embedding of chi_a(g_i) is at most sum_s |mus[a, i, s]| in modulus
+# (_value_bound), which bounds each side from the certified data alone, and
+# the primes' product is taken above twice that bound (_split_roots).
+
+_ROOT_BLOCK = 1 << 14  # values at the roots held at once, per array
+
+
+def _value_bound(table) -> int:
+    return int(np.abs(table.mus).sum(axis=2).max())
+
+
+def _split_roots(e, bound):
+    """The split primes of Q(zeta_e) (CycField.split) whose product exceeds
+    2 bound, each with omega, a root of Phi_e mod p (so of order e), and
+    that product."""
+    ps, roots, _, big_p = get_field(e).split.take(2 * bound)
+    return list(zip(ps.tolist(), roots[:, 0].tolist())), big_p
+
+
+def _class_values(table, e, p, omega):
+    """w[a, i, t] = sum_s mus[a, i, s] omega^(t s e/m) mod p, m the order of
+    class i, for t < m, as float64: the value of chi_a(g_i) at each root
+    omega^u of Phi_e with u = t (mod m).  Residues times residues stay
+    below 2^40 and their sums below 2^53, so _mod is exact."""
+    pows = np.ones(1, dtype=np.int64)  # omega^j mod p, j < e, by doubling
+    while len(pows) < e:
+        pows = np.concatenate([pows, pows * pow(omega, len(pows), p) % p])
+    m = np.array(table.group.class_orders)[:, None, None]
+    ts = np.arange(table.mus.shape[-1])
+    ex = ts[:, None] * ts % m * (e // m)  # [i, s, t] = (s t mod m) e/m
+    mus = (table.mus % p).astype(np.float64).transpose(1, 0, 2)
+    return _mod(mus @ pows[ex].astype(np.float64), p).transpose(1, 0, 2)
+
+
+def _at_roots(e, orders, *ws):
+    """Each table w[a, i, t] of the ws at the roots omega^u of Phi_e, as
+    w[a, i, u mod orders[i]] in a (root, a, i) array, over blocks of the
+    units u mod e of at most _ROOT_BLOCK values per table."""
+    units = np.array(get_field(e).split.units)
+    step = max(1, _ROOT_BLOCK // max(w.shape[0] * w.shape[1] for w in ws))
+    for j in range(0, len(units), step):
+        t = units[j : j + step, None] % np.array(orders)
+        yield [w[:, np.arange(w.shape[1]), t].transpose(1, 0, 2) for w in ws]
 
 
 def _verify_orthogonality(table: FiniteGroupTable):
-    """Exact row and column orthogonality over Q(zeta_exponent), each as one
-    matrix identity: X D X'^T = n I and X^T X' D = n I, where
-    X[a, i] = chi_a(g_i), X'[a, i] = chi_a(g_i^-1) and D = diag(|C_i|).
-    D is invertible, so the second is the column relation
-    X^T X' = diag(n / |C_i|).  Both are checked pointwise at the roots
-    (cycmatrix._product_equals), with no product formed."""
+    """Exact row and column orthogonality over Q(zeta_exponent): with
+    X[a, i] = chi_a(g_i), X'[a, i] = chi_a(g_i^-1) and D = diag(|C_i|),
+    X D X'^T = n I and X^T X' D = n I.  D is invertible, so the second is
+    the column relation X^T X' = diag(n / |C_i|).  Both are checked at
+    every root of Phi_e, one block of roots at a time; with S bounding
+    every value, each entry of either side is at most max(n, k max|C_i|) S^2
+    in every embedding."""
     g = table.group
-    k = g.num_classes()
-    x = table.values
-    # w = D X'^T, w[i, a] = |C_i| chi_a(g_i^-1): row i of X'^T scaled by
-    # |C_i|; its transpose is X' D
-    x_inv_t = x.arr[:, g.inverse_class].transpose(1, 0, 2)
-    w = _scaled_rows(x_inv_t, g.class_sizes)
-    scale = g.order() * x.den**2
-    n_id = np.zeros_like(x.arr, dtype=work_dtype(scale))
-    n_id[range(k), range(k), 0] = scale
-    if not _product_equals(x.field, x.arr, w, n_id):
-        raise ArithmeticError("row orthogonality failed")
-    if not _product_equals(x.field, x.arr.transpose(1, 0, 2), w.transpose(1, 0, 2), n_id):
-        raise ArithmeticError("column orthogonality failed")
+    n, k = g.order(), g.num_classes()
+    e = g.exponent
+    sizes = np.array(g.class_sizes)
+    bound = max(n, k * int(sizes.max())) * _value_bound(table) ** 2 + n
+    primes, _ = _split_roots(e, bound)
+    for p, omega in primes:
+        w = _class_values(table, e, p, omega)
+        n_id = np.eye(k) * (n % p)
+        for (x,) in _at_roots(e, g.class_orders, w):
+            x_inv = x[:, :, g.inverse_class]
+            rows = _mod(_mod(x * (sizes % p), p) @ x_inv.transpose(0, 2, 1), p)
+            if _mod(rows - n_id, p).any():
+                raise ArithmeticError("row orthogonality failed")
+            cols = _mod(x.transpose(0, 2, 1) @ _mod(x_inv * (sizes % p), p), p)
+            if _mod(cols - n_id, p).any():
+                raise ArithmeticError("column orthogonality failed")
 
 
 def _tensor_multiplicities(table: FiniteGroupTable) -> np.ndarray:
     """M[a, b, c] = (1/n) sum_i |C_i| chi_a(g_i) chi_b(g_i) chi_c(g_i^-1) for
-    all (a, b, c), computed mod the Dixon prime p and certified exactly.
-
-    The certificate checks chi_a(g_i) chi_b(g_i) = sum_c M[a, b, c] chi_c(g_i)
-    for every class i on the packed table, one class at a time.  Since the
-    chi_c are linearly independent (row orthogonality), this identity holds
-    for exactly one integer array M, so any mod-p error raises."""
+    all (a, b, c), computed mod the Dixon prime p and certified exactly
+    (_certify_tensor)."""
     g = table.group
     n = g.order()
     k = g.num_classes()
@@ -435,18 +503,33 @@ def _tensor_multiplicities(table: FiniteGroupTable) -> np.ndarray:
         xx = x[:, None, i] * x[None, :, i] % p
         m = (m + xx[:, :, None] * y[None, None, :, i]) % p
     m = m * pow(n, -1, p) % p
-
-    f = table.value_field
-    if table.values.den != 1:
-        raise ArithmeticError("character values are not algebraic integers")
-    arr = table.values.arr
-    flat = m.reshape(k * k, k)
-    for i in range(k):
-        col = arr[:, i : i + 1, :]
-        rhs = _int_matmul(flat, col[:, 0, :]).reshape(k, k, f.degree)
-        if not _product_equals(f, col, col.transpose(1, 0, 2), rhs):
-            raise ArithmeticError(f"tensor multiplicity certificate failed at class {i}")
+    _certify_tensor(table, m)
     return m
+
+
+def _certify_tensor(table: FiniteGroupTable, m):
+    """Check chi_a(g_i) chi_b(g_i) = sum_c m[a, b, c] chi_c(g_i) for every
+    class i and all (a, b, c).  Since the chi_c are linearly independent
+    (row orthogonality), this identity holds for exactly one integer array,
+    so any mod-p error in m raises.  Both sides at class i lie in
+    Z[zeta_m], so their values at the roots of Phi_e are those at the units
+    t mod m: the identity is checked there, on w[:, i, t], and each side is
+    at most S^2 + S max_ab sum_c |m[a, b, c]| in every embedding."""
+    g = table.group
+    k = g.num_classes()
+    e = g.exponent
+    s = _value_bound(table)
+    bound = s * s + s * int(np.abs(m).sum(axis=2).max())
+    at = [(i, t) for i, o in enumerate(g.class_orders) for t in range(o) if gcd(t, o) == 1]
+    cls, ts = np.array(at).T
+    primes, _ = _split_roots(e, bound)
+    for p, omega in primes:
+        v = _class_values(table, e, p, omega)[:, cls, ts]  # [c, (i, t)]
+        lhs = _mod(v[:, None] * v[None], p).reshape(k * k, -1)
+        rhs = _mod((m.reshape(k * k, k) % p).astype(np.float64) @ v, p)
+        bad = _mod(lhs - rhs, p).any(axis=0)
+        if bad.any():
+            raise ArithmeticError(f"tensor multiplicity certificate failed at class {cls[bad.argmax()]}")
 
 
 @lru_cache(maxsize=None)
@@ -492,7 +575,8 @@ def chi_beta_report(r: int) -> dict:
         for b in range(r)
         if (a * a - eps * b * b) % r == 1
     ]
-    assert len(torus) == r + 1
+    if len(torus) != r + 1:
+        raise ArithmeticError("the nonsplit torus does not have r + 1 elements")
     torus_squares = sorted({sl2_mul(x, x, r) for x in torus})
     central = {(1, 0, 0, 1), (r - 1, 0, 0, r - 1)}
     regular = [x for x in torus_squares if x not in central]
@@ -586,22 +670,33 @@ def borel_check(r: int) -> dict:
     n = g.order()
     nb = b.order()
     index = n // nb
-    fg, fb = gt.value_field, bt.value_field
+    e = g.exponent  # e(B) | e(G), so both tables evaluate at the roots of Phi_e
 
-    # the Borel table in Q(zeta_e(G)), e(B) | e(G)
-    lifted = fg.lift_coeffs(bt.values.arr, fb)
     # Frobenius reciprocity: <Ind chi, psi>_G = <chi, Res psi>_B, for every
     # pair at once as (1/|B|) sum_bc chi(bc) |bc| psi(g_bc^-1); every
-    # element of a B-class lands in one G-class.  The sums are read as
-    # rational integers at the roots (cycmatrix._rational_product)
+    # element of a B-class lands in one G-class, of the same order.  Each
+    # sum is a rational integer: it takes one value at every root of Phi_e
+    # modulo each prime, and that value is read by symmetric CRT (cycmatrix
+    # _lift); |sum| <= |B| S_B S_G in every embedding
     g_inv_of_bclass = [g.inverse_class[g.class_of[g.index[x]]] for x in b.class_reps]
-    restricted = gt.values.arr[:, g_inv_of_bclass].transpose(1, 0, 2)
-    num = _rational_product(fg, lifted, _scaled_rows(restricted, b.class_sizes))
-    den = bt.values.den * gt.values.den * nb
-    if num is None or (num % den).any() or (num < 0).any():
+    sizes = np.array(b.class_sizes)
+    primes, big_p = _split_roots(e, nb * _value_bound(bt) * _value_bound(gt))
+    res = []
+    for p, omega in primes:
+        wb = _class_values(bt, e, p, omega)
+        wg = _class_values(gt, e, p, omega)[:, g_inv_of_bclass]
+        first = None
+        for xb, xg in _at_roots(e, b.class_orders, wb, wg):
+            sums = _mod(_mod(xb * (sizes % p), p) @ xg.transpose(0, 2, 1), p)
+            first = sums[0] if first is None else first
+            if _mod(sums - first, p).any():
+                raise ArithmeticError("an induction multiplicity is not rational")
+        res.append(first)
+    num = _lift(np.stack(res), [p for p, _ in primes], big_p)
+    if (num % nb).any() or (num < 0).any():
         raise ArithmeticError("induction multiplicity is not a non-negative integer")
     inductions = []
-    for bdeg, mults in zip(bt.degrees, (num // den).tolist()):
+    for bdeg, mults in zip(bt.degrees, (num // nb).tolist()):
         total = sum(m * d for m, d in zip(mults, gt.degrees))
         if total != index * bdeg:
             raise ArithmeticError("induced degree mismatch")

@@ -400,9 +400,10 @@ print(code, tracemalloc.get_traced_memory()[1])
 
 def test_chartab_peak_memory():
     # in a fresh process, so no cache is warm: the traced peak of the r = 13
-    # tables, the Borel check and the report's emission together.  It was
-    # 12.3 MB when the checks ran at the roots and the report was streamed,
-    # against 21.1 MB with products lifted and a list per coefficient
+    # tables, the Borel check and the report's emission together.  It is
+    # 2.6 MB with the checks on the eigenvalue multiplicities at the roots and
+    # no power table, against 12.3 MB when they transformed the power-basis
+    # table and 21.1 MB with products lifted and a list per coefficient
     src = str(Path(so3tqft.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK],
@@ -414,7 +415,7 @@ def test_chartab_peak_memory():
     assert proc.returncode == 0, proc.stderr
     code, peak = map(int, proc.stdout.split())
     assert code == 0
-    assert peak < 1.5 * 12.3e6
+    assert peak < 1.5 * 2.6e6
 
 
 def test_chain_with_a_leading_negative_framing(capsys):

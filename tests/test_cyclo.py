@@ -287,6 +287,33 @@ def test_tables_read_off_the_power_table_match_the_recurrences():
             assert f.red_np.shape == (0, 1) and f.red_max == 0, n
 
 
+@pytest.mark.parametrize("n", (1, 2, 12, 28, 76, 660, 1092))
+def test_rows_equal_the_eager_power_table(n):
+    # any integer k, negative or past N, in any shape, against the table
+    # built row by row by the recurrence; the field here is a fresh one
+    _, pw, _ = recurrence_tables(n)
+    f = CycField(n)
+    rng = np.random.default_rng(n)
+    ks = np.concatenate([np.arange(-2 * n, 3 * n), rng.integers(-10**12, 10**12, size=50)])
+    assert np.array_equal(f.rows(ks), pw[ks % n])
+    assert np.array_equal(f.rows(ks.reshape(-1, 5)), pw[ks % n].reshape(-1, 5, f.degree))
+    assert f.rows(np.zeros(0, dtype=np.int64)).shape == (0, f.degree)
+    assert not {"pw", "red_np", "conj_rows"} & set(vars(f))
+
+
+@pytest.mark.parametrize("n", (20, 91, 105, 1092))
+def test_rows_match_sympy_remainders(n):
+    from sympy import Poly, cyclotomic_poly, rem, symbols
+
+    x = symbols("x")
+    phi = cyclotomic_poly(n, x)
+    f = get_field(n)
+    ks = random.Random(n).sample(range(-n, 2 * n), 12)
+    for k, row in zip(ks, f.rows(ks).tolist()):
+        want = Poly(rem(x ** (k % n), phi, x), x).all_coeffs()[::-1]
+        assert row == [int(c) for c in want] + [0] * (f.degree - len(want)), (n, k)
+
+
 @pytest.mark.parametrize("n", (1, 2))
 def test_degree_one_products_are_integer_products(n):
     f = get_field(n)

@@ -36,7 +36,7 @@ from so3tqft.cyclo import (
     get_field,
     work_dtype,
 )
-from so3tqft.cycmatrix import CycMatrix, _product, _product_equals, _rational_product
+from so3tqft.cycmatrix import CycMatrix, _product, _product_equals
 
 X = symbols("x")
 
@@ -332,30 +332,6 @@ def test_the_check_compares_every_root(n):
             c[0, 0, :2] = -alpha, 1
             c *= prod(islice(_split_primes(n), 1, j))
             assert not _product_equals(f, zero, zero, c)
-
-
-@pytest.mark.parametrize("n", (20, 52, 148))
-@KERNEL
-@given(data=st.data())
-def test_rational_product_reads_the_constant_coefficients(n, data):
-    # a b is rational when a and b are (constant coefficients only), and
-    # generically not otherwise
-    f = get_field(n)
-    d = f.degree
-    m, k, l = (data.draw(st.integers(1, 3)) for _ in range(3))
-    top = data.draw(st.integers(0, 70))
-    dt = np.int64 if top < 63 else object
-    a = np.array(data.draw(st.lists(coeffs(d, 0, top), min_size=m * k, max_size=m * k)), dtype=dt)
-    b = np.array(data.draw(st.lists(coeffs(d, 0, top), min_size=k * l, max_size=k * l)), dtype=dt)
-    a, b = a.reshape(m, k, d), b.reshape(k, l, d)
-    if data.draw(st.booleans()):
-        a[..., 1:], b[..., 1:] = 0, 0
-    want = object_product(f, a, b)
-    got = _rational_product(f, a, b)
-    if want[..., 1:].any():
-        assert got is None
-    else:
-        assert np.array_equal(got, want[..., 0])
 
 
 def cyc_matrix(draw, f, rows, cols, max_bits=62):

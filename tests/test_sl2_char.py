@@ -1,14 +1,21 @@
 import copy
+import os
 import random
+import subprocess
+import sys
+from itertools import islice
+from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from so3tqft import sl2_char
-from so3tqft.cycmatrix import CycMatrix
-from so3tqft.cyclo import CycNumber
+from so3tqft.cycmatrix import CycMatrix, _product, _product_equals
+from so3tqft.cyclo import CycNumber, _split_primes, get_field
 from so3tqft.levels import SUPPORTED_RANGE, is_odd_prime, sl2_mul
 from so3tqft.sl2_char import (
+    _certify_tensor,
     _dixon_primes,
     _primitive_root,
     _split_eigenvectors,
@@ -339,45 +346,197 @@ def test_certificate_rejects_a_tampered_modp_entry():
             _tensor_multiplicities(bad)
 
 
+def _conjugated(table, count):
+    """Copies of the table with the multiplicities of one non-real value
+    chi_a(g_i) swapped, mus_s <-> mus_(-s mod m), which conjugates that value
+    alone: the first `count` such entries."""
+    out = []
+    for a in range(table.num_classes()):
+        for i, m in enumerate(table.group.class_orders):
+            mus = table.mus[a, i, :m]
+            if len(out) < count and (mus != mus[-np.arange(m) % m]).any():
+                bad = copy.copy(table)
+                bad.mus = table.mus.copy()
+                bad.mus[a, i, :m] = mus[-np.arange(m) % m]
+                out.append(bad)
+    return out
+
+
 def test_orthogonality_rejects_a_conjugated_value():
     tbl = sl2_table(7)
     _verify_orthogonality(tbl)
-    tampered = 0
-    for a, row in enumerate(tbl.char_table):
-        for i, v in enumerate(row):
-            if v.conj() == v or tampered == 3:
-                continue
-            arr = tbl.values.arr.copy()
-            arr[a, i] = v.conj().num
-            bad = copy.copy(tbl)
-            bad.values = CycMatrix._from_array(tbl.value_field, arr, 1)
-            with pytest.raises(ArithmeticError):
-                _verify_orthogonality(bad)
-            tampered += 1
-    assert tampered == 3
+    bad = _conjugated(tbl, 3)
+    assert len(bad) == 3
+    for t in bad:
+        with pytest.raises(ArithmeticError):
+            _verify_orthogonality(t)
 
 
 def test_borel_check_rejects_a_conjugated_borel_value(monkeypatch):
     # a conjugated value v of the Borel table moves one Frobenius sum by
     # (conj(v) - v) |C_i| / |B| times a value of psi; against the trivial psi
     # that is imaginary and nonzero, so the sum is no longer rational
-    bt = borel_table(7)
-    tampered = 0
-    for a, row in enumerate(bt.char_table):
-        for i, v in enumerate(row):
-            if v.conj() == v or tampered == 3:
-                continue
-            arr = bt.values.arr.copy()
-            arr[a, i] = v.conj().num
-            bad = copy.copy(bt)
-            bad.values = CycMatrix._from_array(bt.value_field, arr, 1)
-            with monkeypatch.context() as m:
-                m.setattr(sl2_char, "borel_table", lambda r: bad)
-                with pytest.raises(ArithmeticError):
-                    borel_check(7)
-            tampered += 1
-    assert tampered == 3
+    bad = _conjugated(borel_table(7), 3)
+    assert len(bad) == 3
+    for t in bad:
+        with monkeypatch.context() as m:
+            m.setattr(sl2_char, "borel_table", lambda r: t)
+            with pytest.raises(ArithmeticError, match="not rational"):
+                borel_check(7)
     assert borel_check(7)["inductions"]
+
+
+# the dense route: each identity checked on the power-basis table by
+# cycmatrix._product_equals, and the Frobenius sums by a lifted _product
+
+
+def _dense_orthogonality(table):
+    g = table.group
+    k = g.num_classes()
+    x = table.values
+    x_inv_t = x.arr[:, g.inverse_class].transpose(1, 0, 2).astype(object)
+    w = x_inv_t * np.array(g.class_sizes, dtype=object)[:, None, None]
+    n_id = np.zeros(x.arr.shape, dtype=object)
+    n_id[range(k), range(k), 0] = g.order()
+    return _product_equals(x.field, x.arr, w, n_id) and _product_equals(
+        x.field, x.arr.transpose(1, 0, 2), w.transpose(1, 0, 2), n_id
+    )
+
+
+def _dense_tensor(table, m):
+    k = table.num_classes()
+    f = table.value_field
+    arr = table.values.arr
+    for i in range(k):
+        col = arr[:, i : i + 1, :]
+        rhs = (m.reshape(k * k, k).astype(object) @ col[:, 0, :].astype(object)).reshape(k, k, -1)
+        if not _product_equals(f, col, col.transpose(1, 0, 2), rhs):
+            return False
+    return True
+
+
+def _dense_frobenius(r, bt):
+    """The induction multiplicities [borel irrep][SL2 irrep], or None when a
+    Frobenius sum is not a rational integer divisible by |B|."""
+    gt = sl2_table(r)
+    g, b = gt.group, bt.group
+    fg = gt.value_field
+    lifted = fg.lift_coeffs(bt.values.arr.astype(object), bt.value_field)
+    cls = [g.inverse_class[g.class_of[g.index[x]]] for x in b.class_reps]
+    restricted = gt.values.arr[:, cls].transpose(1, 0, 2).astype(object)
+    restricted *= np.array(b.class_sizes, dtype=object)[:, None, None]
+    num = _product(fg, lifted, restricted)
+    if num[..., 1:].any() or (num[..., 0] % b.order()).any():
+        return None
+    return (num[..., 0] // b.order()).tolist()
+
+
+def _rebuilt(table):
+    """The table with its power basis rebuilt from its multiplicities."""
+    out = copy.copy(table)
+    e = table.group.exponent
+    arr = sl2_char._power_basis(table.mus, table.group.class_orders, e)
+    out.values = CycMatrix._from_array(table.value_field, arr, 1)
+    return out
+
+
+@pytest.mark.parametrize("r", PRIMES)
+@pytest.mark.parametrize("make_table", (sl2_table, borel_table))
+def test_certificates_agree_with_the_dense_route(make_table, r, monkeypatch):
+    tbl = make_table(r)
+    assert _dense_orthogonality(tbl)
+    assert _dense_tensor(tbl, tbl.tensor_mults)
+    for bad in _conjugated(tbl, 2):
+        bad = _rebuilt(bad)
+        assert not _dense_orthogonality(bad)
+        with pytest.raises(ArithmeticError):
+            _verify_orthogonality(bad)
+    m = tbl.tensor_mults.copy()
+    m[-1, -1, -1] += 1
+    assert not _dense_tensor(tbl, m)
+    with pytest.raises(ArithmeticError):
+        _certify_tensor(tbl, m)
+    if make_table is borel_table:
+        rows = [row["multiplicities"] for row in borel_check(r)["inductions"]]
+        assert _dense_frobenius(r, tbl) == rows
+        for bad in _conjugated(tbl, 2):
+            assert _dense_frobenius(r, _rebuilt(bad)) is None
+            with monkeypatch.context() as mp:
+                mp.setattr(sl2_char, "borel_table", lambda r: bad)
+                with pytest.raises(ArithmeticError):
+                    borel_check(r)
+
+
+@pytest.mark.parametrize("r", (7, 13))
+def test_fewer_primes_than_the_bound_asks_accept_a_false_tensor_identity(r, monkeypatch):
+    # m is the certified array with one entry moved by Q, the product of the
+    # first j split primes of Q(zeta_e).  The bound counts sum_c m[a, b, c]
+    # >= Q, so it asks for more than j primes and rejects m; with the first j
+    # alone, every prime divides Q and m passes
+    tbl = sl2_table(r)
+    f = tbl.value_field
+    for j in (1, 2):
+        ps, roots, w, q = f.split.take(prod(islice(_split_primes(f.n), j)) - 1)
+        assert len(ps) == j
+        m = tbl.tensor_mults.copy()
+        m[1, 2, 3] += q
+        with pytest.raises(ArithmeticError):
+            _certify_tensor(tbl, m)
+        with monkeypatch.context() as mp:
+            mp.setattr(f.split, "take", lambda bound: (ps, roots, w, q))
+            _certify_tensor(tbl, m)
+
+
+@pytest.mark.parametrize("check", ("orthogonality", "tensor", "borel"))
+def test_the_certificates_compare_every_root(check, monkeypatch):
+    # one value chi_a(g_i), at a class of order m > 2, moved by zeta_m - alpha
+    # with alpha = omega^(e/m) mod p0, omega the first root of the first split
+    # prime p0: the move vanishes at that root mod p0 and at no other root
+    # of it.  With p0 alone, only the other roots can show the tampering
+    make_table = borel_table if check == "borel" else sl2_table
+    tbl = make_table(7)
+    f = get_field(sl2_table(7).group.exponent)
+    e = f.n
+    ps, roots, w, q = f.split.take(1)
+    p0, omega = int(ps[0]), int(roots[0, 0])
+    i = next(i for i, m in enumerate(tbl.group.class_orders) if m > 2)
+    m = tbl.group.class_orders[i]
+    bad = copy.copy(tbl)
+    bad.mus = tbl.mus.copy()
+    bad.mus[1, i, 0] -= pow(omega, e // m, p0)
+    bad.mus[1, i, 1] += 1
+    with monkeypatch.context() as mp:
+        mp.setattr(f.split, "take", lambda bound: (ps, roots, w, q))
+        with pytest.raises(ArithmeticError):
+            if check == "orthogonality":
+                _verify_orthogonality(bad)
+            elif check == "tensor":
+                _certify_tensor(bad, tbl.tensor_mults)
+            else:
+                mp.setattr(sl2_char, "borel_table", lambda r: bad)
+                borel_check(7)
+
+
+def test_dixon_field_builds_no_power_table():
+    # in a fresh process: after the r = 13 table, its field Q(zeta_1092)
+    # holds no (N, d) array, and no table read off the powers of zeta
+    src = str(Path(sl2_char.__file__).resolve().parents[1])
+    code = (
+        "from so3tqft.sl2_char import sl2_table\n"
+        "t = sl2_table(13)\n"
+        "f = t.value_field\n"
+        "assert f.n == 1092, f\n"
+        "big = [k for k, v in vars(f).items() if getattr(v, 'ndim', 0) == 2]\n"
+        "assert not big and not {'pw', 'red_np', 'conj_rows'} & set(vars(f)), vars(f)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _dft_lift(table):
@@ -401,7 +560,7 @@ def _dft_lift(table):
                 for t in range(m):
                     tot += chi[g.power_map[i][t]] * pow(lam_m, (-s * t) % (p - 1), p)
                 mus.append(tot % p * pow(m, p - 2, p) % p)
-            value = np.array(mus, dtype=np.int64) @ f.pw[(e // m) * np.arange(m)]
+            value = np.array(mus, dtype=np.int64) @ f.rows((e // m) * np.arange(m))
             row.append(CycNumber(f, value.tolist()))
         out.append(row)
     return out

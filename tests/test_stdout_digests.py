@@ -1,6 +1,7 @@
 """Byte identity of stdout: SHA-256 digests of the JSON that `tau`, `image`
-and `verify-all` print at r = 5, 7 and 13, run in process.  A change that
-alters any of these outputs must say so and update the digest."""
+and `verify-all` print at r = 5, 7 and 13, and that `chartab --check-ltwo
+--check-borel` prints at r = 5, 7, 11 and 13, run in process.  A change
+that alters any of these outputs must say so and update the digest."""
 
 import hashlib
 
@@ -55,13 +56,37 @@ _DIGESTS = {
 }
 
 
-def test_stdout_digests(capsys):
+_CHARTAB_DIGESTS = {
+    5: "1f1ca2bb513808b3f2bbd5e38ab7a248b1d0f62f4552d3b4899df951294b54b6",
+    7: "be1039924f493f2dfe12fab711d964b2c52df75bd0666e18d423edecdf94fe08",
+    11: "23f6f5e8e7a9dc2da292bacc8bb22b763df3d6cb2392743f07c61b3ce7529137",
+    13: "edbce763532b61613b91d18abad0d2438bcc014810da35d7e3e7fd5c16c38af2",
+}
+
+
+def _changed(capsys, runs):
+    """The argvs of the (argv, digest) runs whose stdout or exit differs."""
     changed = []
-    for r, digests in _DIGESTS.items():
-        for (sub, *rest), want in zip(_PER_LEVEL, digests, strict=True):
-            argv = [sub, "--r", str(r), "--json", *rest]
-            code = main(argv)
-            out = capsys.readouterr().out
-            if code != 0 or hashlib.sha256(out.encode()).hexdigest() != want:
-                changed.append(" ".join(argv))
-    assert not changed, changed
+    for argv, want in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != want:
+            changed.append(" ".join(argv))
+    return changed
+
+
+def test_stdout_digests(capsys):
+    runs = [
+        ([sub, "--r", str(r), "--json", *rest], want)
+        for r, digests in _DIGESTS.items()
+        for (sub, *rest), want in zip(_PER_LEVEL, digests, strict=True)
+    ]
+    assert not _changed(capsys, runs)
+
+
+def test_chartab_digests(capsys):
+    runs = [
+        (["chartab", "--r", str(r), "--check-ltwo", "--check-borel", "--json"], want)
+        for r, want in _CHARTAB_DIGESTS.items()
+    ]
+    assert not _changed(capsys, runs)
