@@ -11,60 +11,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import sys
 
 from . import __version__, _lazy_getattr
-from .fusion_dims import (
-    SurfaceSpec,
-    dim_space,
-    goslow_margin,
-    twist_multiplicities,
-    verlinde_dim,
-)
 from .levels import SUPPORTED_RANGE, _require_level
 
 # Each handler imports the modules it runs inside its own body, so a process
 # loads only what its subcommand needs (`dims` and `--version` never load
-# numpy), and a handler reads each function at call time.  The names below
-# stay readable as `so3tqft.cli.<name>`, resolved on access.
-__getattr__ = _lazy_getattr(
-    __name__,
-    {
-        "cyclo": ("CycNumber", "get_field"),
-        "levels": ("is_odd_prime",),
-        "modular_data": (
-            "build_modular_data",
-            "central_charge_order",
-            "dehn_twist_spectrum",
-            "rho_genus1",
-        ),
-        "weil": ("build_weil", "verify_odd_block_identification"),
-        "finite_image": (
-            "identify_group",
-            "so3_closure",
-            "weil_closure",
-        ),
-        "sl2_char": (
-            "borel_check",
-            "chi_beta_report",
-            "regular_congruence_check",
-            "sl2_table",
-            "tensor_decompose",
-        ),
-        "mfld3": (
-            "MAX_SURVEY_LEN",
-            "ChainSurgery",
-            "heegaard_tau",
-            "lens_routes_agree",
-            "norm_survey",
-            "signature",
-            "tau",
-        ),
-    },
-)
+# numpy), and a handler reads each function at call time.  One name stays
+# readable, as so3tqft.cli.so3_closure, because perfbench's tracer test reads it.
+__getattr__ = _lazy_getattr(__name__, {"finite_image": ("so3_closure",)})
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -160,6 +117,9 @@ def _to_text(report):
 
 
 def _to_csv(report):
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     rows = report.get("csv_rows")
@@ -244,6 +204,8 @@ def _cmd_weil(args):
 
 
 def _cmd_dims(args):
+    from .fusion_dims import SurfaceSpec, dim_space, goslow_margin, verlinde_dim
+
     r = args.r
     boundary = tuple(int(x) for x in args.boundary.split(",")) if args.boundary else ()
     if args.genus > MAX_DIMS_GENUS:
@@ -437,6 +399,10 @@ def _field_axiom_spot_check(r, seed, cases=100):
 
 
 def _cmd_verify_all(args):
+    # fusion_dims first, so it is compiled before numpy is loaded
+    from .fusion_dims import (
+        SurfaceSpec, dim_space, goslow_margin, twist_multiplicities, verlinde_dim
+    )
     from .mfld3 import lens_routes_agree
     from .modular_data import build_modular_data, genus1_letters, projective_relations, rho_genus1
     from .weil import verify_odd_block_identification

@@ -9,7 +9,7 @@ CycNumber is hashable and equality is O(1) exact.
 Multiplication is one numpy convolution followed by reduction against the
 rows for z^k, k >= phi(N) (CycField.reduce).  Those rows, the conjugation
 rows and the whole power table of the zeta^k, k < N, are all zeta^k reduced
-modulo Phi_N, made by one routine (CycField.rows) and each built only when
+modulo Phi_N, read off one walk (CycField.rows) and each built only when
 first read: a large field, such as the one Dixon's character values live
 in, builds no (N, d) table unless a caller asks for one.  Every scalar
 product runs the same code; only the dtype of its work arrays is chosen per
@@ -26,7 +26,9 @@ N-th roots of unity mod p, taking products and interpolating back, in
 float64 numpy arithmetic reduced by x - p floor(x / p) (_mod), which is
 exact because every product of two residues is below 2^40.  The Chinese
 remainder theorem and a symmetric lift give the exact integers, and one
-exact product x * x^-1 == 1 checks the result.
+exact product x * x^-1 == 1 checks the result.  M is never formed: its
+column j is num z^j, so the column norms of the Hadamard bound are read off
+the same walk started at num (CycField.shifts).
 The primes and their roots are one table per field (CycField.split), which
 the matrix products of cycmatrix share.
 """
@@ -37,7 +39,7 @@ import cmath
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count
+from itertools import count, islice
 from math import gcd
 
 import numpy as np
@@ -238,30 +240,32 @@ class CycField:
         self.one = CycNumber(self, (1,) + (0,) * (d - 1), 1, _normalized=True)
         self.zero = CycNumber(self, (0,) * d, 1, _normalized=True)
 
+    def shifts(self, start):
+        """x^j start modulo Phi_N for j = 0, 1, 2, ...: one copy of `start`,
+        shifted in place and in its dtype per step, x^d = -(Phi_N - x^d)."""
+        row = start.copy()
+        top = -np.array(self.poly[:-1], dtype=row.dtype)
+        while True:
+            yield row
+            lead = row[-1]
+            row[1:] = row[:-1]
+            row[0] = 0
+            row += lead * top
+
     def rows(self, ks):
         """zeta^k in the power basis for each integer k of the array ks (any
         sign or size), as an int64 array of shape ks.shape + (d,): the
-        remainder of x^(k mod N) modulo Phi_N, by the recurrence
-        x^k = x * x^(k-1) with x^d = -(Phi_N - x^d), walked up to the
-        largest k mod N asked for and kept only at the k asked for."""
+        remainder of x^(k mod N) modulo Phi_N, read off the shifts of 1
+        walked up to the largest k mod N asked for."""
         ks = np.asarray(ks, dtype=np.int64) % self.n
         flat = ks.ravel().tolist()
-        want = sorted(set(flat))
+        at = {k: j for j, k in enumerate(set(flat))}
         d = self.degree
-        top = -np.array(self.poly[:-1], dtype=np.int64)
-        out = np.empty((len(want), d), dtype=np.int64)
-        row = np.zeros(d, dtype=np.int64)
-        row[0] = 1
-        k = 0
-        for j, target in enumerate(want):
-            for _ in range(k, target):
-                lead = row[-1]
-                row[1:] = row[:-1]
-                row[0] = 0
-                row += lead * top
-            k = target
-            out[j] = row
-        at = {k: j for j, k in enumerate(want)}
+        out = np.empty((len(at), d), dtype=np.int64)
+        one = np.array(self.one.num, dtype=np.int64)
+        for k, row in zip(range(max(at, default=-1) + 1), self.shifts(one)):
+            if k in at:
+                out[at[k]] = row
         return out[[at[k] for k in flat]].reshape(ks.shape + (d,))
 
     @cached_property
@@ -474,24 +478,20 @@ class CycNumber:
         d = f.degree
         ma = self.max_abs_coeff()
 
-        # m[j] = num * z^j reduced, column j of the multiplication matrix M
-        full = np.zeros((d, 2 * d - 1), dtype=work_dtype(f.product_bound(ma, 1)))
-        for j in range(d):
-            full[j, j : j + d] = self.num
-        m = f.reduce(full)
-        mx = int(np.abs(m).max())
-        m = m.astype(work_dtype(d * mx * mx))
         # Hadamard: |det M| and the entries of adj(M) e_0 are at most
-        # H = prod |column| < 2^(s/2); the primes' product must exceed 2H
-        s = sum(int(x).bit_length() for x in (m * m).sum(axis=1))
+        # H = prod |column| < 2^(s/2); the primes' product must exceed 2H.
+        # Column j is num z^j, step j of the shift walk: each entry is at
+        # most e = ma d max(1, red_max), so d e^2 bounds every step and norm
+        e = ma * d * max(1, f.red_max)
+        num = np.array(self.num, dtype=work_dtype(d * e * e))
+        s = sum(int(col @ col).bit_length() for col in islice(f.shifts(num), d))
         ps, roots, w, big_p = f.split.take(1 << (1 + (s + 1) // 2))
 
         # every product of two residues is below 2^40 and every sum of d such
         # products below 2^53, so x - p floor(x / p) in float64 (_mod) is exact
         p = ps[:, None].astype(np.float64)
         roots, w = roots.astype(np.float64), w.astype(np.float64)
-        dn = work_dtype(ma)
-        a = (np.array(self.num, dtype=dn) % ps.astype(dn)[:, None]).astype(np.float64)
+        a = (num % ps.astype(num.dtype)[:, None]).astype(np.float64)
         v = np.zeros_like(roots)
         for j in range(d - 1, -1, -1):  # v = num(roots)
             v = _mod(v * roots + a[:, j, None], p)

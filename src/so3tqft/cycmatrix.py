@@ -150,12 +150,14 @@ def _product_equals(field: CycField, a, b, c) -> bool:
 def _normalize(arr, den):
     """Canonical form of the stack of matrices arr[i] / den[i]: each divided
     by the gcd of its coefficients and denominator, with denominator 1 for a
-    zero matrix.  Returns the numerators (dtype kept) and the denominators
-    as an object array of Python ints."""
+    zero matrix.  Returns the numerators (dtype kept, arr itself when every
+    gcd is 1) and the denominators as an object array of Python ints."""
     lead = (len(arr),) + (1,) * (arr.ndim - 1)
     content = np.gcd.reduce(arr.reshape(len(arr), -1), axis=1).astype(object)
     den = np.where(content == 0, 1, np.asarray(den, dtype=object))
     g = np.gcd(content, den)  # divides the coefficients, so fits their dtype
+    if (g == 1).all():
+        return arr, den
     return arr // g.astype(arr.dtype).reshape(lead), den // g
 
 
@@ -226,6 +228,8 @@ class CycMatrix:
 
     @classmethod
     def _from_array(cls, field: CycField, arr, den: int) -> "CycMatrix":
+        """arr / den, with arr fresh or a view of a read-only array: a
+        canonical arr is stored as it is."""
         out = cls.__new__(cls)
         out._set(field, arr, den)
         return out

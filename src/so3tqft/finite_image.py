@@ -81,7 +81,6 @@ class GroupClosure:
     elements: dict            # key -> the representative of {m, -m}
     generator_words: dict     # key -> shortest word over the names
     complete: bool            # False when max_order was hit
-    generator_names: tuple
 
 
 # frontier elements multiplied by one batched product; in process
@@ -180,7 +179,6 @@ def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
         elements=elements,
         generator_words=words,
         complete=complete,
-        generator_names=tuple(names),
     )
 
 

@@ -134,22 +134,24 @@ class FiniteGroup:
         """The (k, k, k) int64 array a with K_i K_j = sum_l a[i, j, l] K_l:
         a[i, j, l] counts the x in C_i with x^-1 z_l in C_j, for one
         representative z_l per class.  For each z_l the n products x^-1 z_l
-        are formed at once on the entries mod r, and their classes read from
-        a table indexed by the entries."""
+        are formed at once on the entries mod r, and their classes found by
+        binary search among the sorted codes of the n elements."""
         r, k = self.r, self.num_classes()
 
         def code(a, b, c, d):
             return ((a * r + b) * r + c) * r + d
 
         a, b, c, d = np.array(self.elements, dtype=np.int64).T
-        class_at = np.zeros(r**4, dtype=np.int64)
-        class_at[code(a, b, c, d)] = self.class_of
+        codes = code(a, b, c, d)
+        order = np.argsort(codes)
+        codes, class_by_code = codes[order], np.array(self.class_of)[order]
         row = np.array(self.class_of) * k
         out = np.empty((k, k, k), dtype=np.int64)
         # x^-1 = [[d, -b], [-c, a]] times z_l = [[z0, z1], [z2, z3]]
         for l, (z0, z1, z2, z3) in enumerate(self.class_reps):
-            j = class_at[code((d * z0 - b * z2) % r, (d * z1 - b * z3) % r,
-                              (a * z2 - c * z0) % r, (a * z3 - c * z1) % r)]
+            j = class_by_code[np.searchsorted(codes, code(
+                (d * z0 - b * z2) % r, (d * z1 - b * z3) % r,
+                (a * z2 - c * z0) % r, (a * z3 - c * z1) % r))]
             out[:, :, l] = np.bincount(row + j, minlength=k * k).reshape(k, k)
         return out
 

@@ -242,11 +242,12 @@ import sys
 from so3tqft.cli import MAX_IMAGE_R, main
 from so3tqft.levels import is_odd_prime
 
-assert main(["dims", "--r", "13", "--genus", "12", "--verlinde-check", "--json"]) == 0
 try:
     main(["--version"])
 except SystemExit as exit:
     assert exit.code == 0
+assert "so3tqft.fusion_dims" not in sys.modules
+assert main(["dims", "--r", "13", "--genus", "12", "--verlinde-check", "--json"]) == 0
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)
 assert "dataclasses" not in sys.modules
 """
@@ -258,7 +259,7 @@ from so3tqft.cli import MAX_IMAGE_R, main
 from so3tqft.levels import is_odd_prime
 
 assert main(["image", "--r", "5", "--json"]) == 0
-assert not {"so3tqft.sl2_char", "so3tqft.mfld3"} & set(sys.modules)
+assert not {"so3tqft.sl2_char", "so3tqft.mfld3", "so3tqft.fusion_dims"} & set(sys.modules)
 """
 
 
@@ -287,8 +288,8 @@ def _fresh_python(code):
 
 def test_dims_and_version_never_import_numpy():
     out = _fresh_python(_COLD)
-    assert json.loads(out[0])["verlinde_agrees"] is True
-    assert out[1] == so3tqft.__version__
+    assert out[0] == so3tqft.__version__
+    assert json.loads(out[1])["verlinde_agrees"] is True
 
 
 def test_image_imports_only_what_it_runs():

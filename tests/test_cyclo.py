@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from so3tqft.cyclo import (
     is_odd_prime,
     is_prime,
     sqrt_r,
+    work_dtype,
     zeta,
 )
 
@@ -240,6 +242,47 @@ def test_bigint_fallback_multiplication():
     prod = small * large
     # scaling by an integer commutes with the product (computed small-side)
     assert prod * 1000003 == small * (large * 1000003)
+
+
+def block_multiplication_matrix(x):
+    """The multiplication matrix of x.num as CycNumber.inv once formed it, a
+    (d, 2d - 1) block of shifted numerators reduced by CycField.reduce (row
+    j: num z^j), with the bits s of its Hadamard bound, the bit lengths of
+    the squared row norms summed."""
+    f = x.field
+    d = f.degree
+    full = np.zeros((d, 2 * d - 1), dtype=work_dtype(f.product_bound(x.max_abs_coeff(), 1)))
+    for j in range(d):
+        full[j, j : j + d] = x.num
+    m = f.reduce(full)
+    mx = int(np.abs(m).max())
+    m = m.astype(work_dtype(d * mx * mx))
+    return m, sum(int(v).bit_length() for v in (m * m).sum(axis=1))
+
+
+@pytest.mark.parametrize("n", (1, 2, 12, 28, 76, 105, 452))
+def test_inverse_bound_from_the_shift_walk_equals_the_block_bound(n, monkeypatch):
+    # Phi_105 has a coefficient -2.  At 3 * 2^26 the column norms in
+    # Q(zeta_105) pass 2^63 though d max|num|^2 stays below 2^61, so a walk
+    # in int64 would wrap; past 2^40 the walk of inv, and at the larger
+    # degrees the block, run in Python ints.  Q(zeta_452) has too few split
+    # primes below 2^20 to invert either large span.
+    f = get_field(n)
+    rng = random.Random(n)
+    bounds = []
+    take = f.split.take
+    monkeypatch.setattr(f.split, "take", lambda bound: bounds.append(bound) or take(bound))
+    for span in (9, 3 << 26, 1 << 41):
+        x = rand_elem(rng, f, span)
+        m, s = block_multiplication_matrix(x)
+        walk = islice(f.shifts(np.array(x.num, dtype=object)), f.degree)
+        assert np.array_equal(np.array([col.copy() for col in walk]), m.astype(object))
+        if n == 452 and span > 9:
+            continue
+        u = x.inv()
+        assert x * u == f.one
+        # the same bound, so the same split primes
+        assert bounds[-1] == 1 << (1 + (s + 1) // 2), span
 
 
 def recurrence_tables(n):

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from so3tqft.cyclo import CycNumber, get_field
-from so3tqft.cycmatrix import CycMatrix
+from so3tqft.cycmatrix import CycMatrix, _normalize
 from so3tqft.modular_data import build_modular_data, rho_genus1
 
 
@@ -149,3 +150,18 @@ def test_roots_matches_entrywise_build():
         want = entrywise(ks, range(n) if cols is None else cols)
         assert CycMatrix.roots(f, ks, cols) == want
     assert CycMatrix.roots(f, [0] * n).is_identity()
+
+
+def test_normalize_divides_only_when_a_gcd_exceeds_one():
+    rng = np.random.default_rng(5)
+    coprime = rng.integers(-50, 50, size=(3, 2, 2, 4))
+    coprime[:, 0, 0, 0] = 1
+    arr, den = _normalize(coprime, [1, 2, 7])
+    assert np.shares_memory(arr, coprime) and den.tolist() == [1, 2, 7]
+    arr, den = _normalize(2 * coprime, [1, 2, 6])
+    assert not np.shares_memory(arr, coprime)
+    assert np.array_equal(arr[1:], coprime[1:]) and den.tolist() == [1, 1, 3]
+    assert np.array_equal(arr[0], 2 * coprime[0])
+    # a canonical array is stored as it is, read-only
+    stored = CycMatrix._from_array(get_field(5), coprime[0], 3).arr
+    assert np.shares_memory(stored, coprime) and not stored.flags.writeable

@@ -59,8 +59,15 @@ def test_enumerate_group_range():
     assert sl2_group(7).num_classes() == 11
 
 
+def shuffled_sl2_group(r):
+    """SL2(F_r) with its elements in a seeded random order, not by entries."""
+    g = sl2_group(r)
+    elements = random.Random(r).sample(g.elements, len(g.elements))
+    return sl2_char.FiniteGroup(r, "SL2 shuffled", elements, g.generators)
+
+
 @pytest.mark.parametrize("r", (5, 7, 11))
-@pytest.mark.parametrize("group", (sl2_group, borel_group))
+@pytest.mark.parametrize("group", (sl2_group, borel_group, shuffled_sl2_group))
 def test_class_mult_tensor_matches_the_counting_loop(group, r):
     # one x in C_i and one representative z_l at a time, in Python ints
     g = group(r)

@@ -1,7 +1,8 @@
 """Byte identity of stdout: SHA-256 digests of the JSON that `tau`, `image`
-and `verify-all` print at r = 5, 7 and 13, and that `chartab --check-ltwo
---check-borel` prints at r = 5, 7, 11 and 13, run in process.  A change
-that alters any of these outputs must say so and update the digest."""
+and `verify-all` print at r = 5, 7 and 13, that `chartab --check-ltwo
+--check-borel` prints at r = 5, 7, 11 and 13, and of two commands whose
+output goes through CycNumber.inv, run in process.  A change that alters
+any of these outputs must say so and update the digest."""
 
 import hashlib
 
@@ -64,6 +65,20 @@ _CHARTAB_DIGESTS = {
 }
 
 
+# verify-all at r = 19 spot-checks 100 inversions in Q(zeta_76), and
+# modular-data at r = 43 inverts for its global dimension and S
+_INVERSE_DIGESTS = (
+    (
+        ["verify-all", "--r", "19", "--seed", "1", "--json"],
+        "99182750e4f37d2f6bd08d7a9ed8e9f044f5658f0693652ad6db993c5d905b8a",
+    ),
+    (
+        ["modular-data", "--r", "43", "--json"],
+        "c525dd979198a0a6bc4db0d8857013f65221acbce0179b90fc60827671e23889",
+    ),
+)
+
+
 def _changed(capsys, runs):
     """The argvs of the (argv, digest) runs whose stdout or exit differs."""
     changed = []
@@ -90,3 +105,7 @@ def test_chartab_digests(capsys):
         for r, want in _CHARTAB_DIGESTS.items()
     ]
     assert not _changed(capsys, runs)
+
+
+def test_inverse_digests(capsys):
+    assert not _changed(capsys, _INVERSE_DIGESTS)
