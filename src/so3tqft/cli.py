@@ -94,6 +94,16 @@ def _emit(report, args):
         fh.write("\n")
 
 
+def _flat_items(obj, prefix=""):
+    """(dotted key, value) for each leaf of a nested dict, keys sorted at
+    every level; anything but a dict is a leaf."""
+    for k in sorted(obj):
+        if isinstance(obj[k], dict):
+            yield from _flat_items(obj[k], f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k}", obj[k]
+
+
 def _to_text(report):
     buf = []
     for row in report.get("checks", ()):
@@ -102,17 +112,10 @@ def _to_text(report):
         buf.append(f"{status}  {row['name']}{detail}")
     if buf:
         buf.append("")
-
-    def walk(prefix, obj):
-        if isinstance(obj, dict):
-            for k in sorted(obj):
-                walk(f"{prefix}{k}.", obj[k])
-        elif isinstance(obj, list) and len(obj) > 12:
-            buf.append(f"{prefix[:-1]} = [{len(obj)} entries]")
-        else:
-            buf.append(f"{prefix[:-1]} = {obj}")
-
-    walk("", {k: v for k, v in report.items() if k not in ("checks", "csv_rows")})
+    rest = {k: v for k, v in report.items() if k not in ("checks", "csv_rows")}
+    for key, v in _flat_items(rest):
+        long = isinstance(v, list) and len(v) > 12
+        buf.append(f"{key} = [{len(v)} entries]" if long else f"{key} = {v}")
     return "\n".join(buf)
 
 
@@ -124,20 +127,9 @@ def _to_csv(report):
     writer = csv.writer(out, lineterminator="\n")
     rows = report.get("csv_rows")
     if rows is None:
-        writer.writerow(["key", "value"])
-        flat = json.loads("".join(_json_chunks(report)))
-
-        def walk(prefix, obj):
-            if isinstance(obj, dict):
-                for k in sorted(obj):
-                    walk(f"{prefix}{k}.", obj[k])
-            else:
-                writer.writerow([prefix[:-1], json.dumps(obj)])
-
-        walk("", flat)
-    else:
-        for row in rows:
-            writer.writerow(row)
+        flat = _flat_items(json.loads("".join(_json_chunks(report))))
+        rows = [["key", "value"], *([key, json.dumps(v)] for key, v in flat)]
+    writer.writerows(rows)
     return out.getvalue().rstrip("\n")
 
 
@@ -210,6 +202,8 @@ def _cmd_dims(args):
     boundary = tuple(int(x) for x in args.boundary.split(",")) if args.boundary else ()
     if args.genus > MAX_DIMS_GENUS:
         raise CapacityError(f"genus capped at {MAX_DIMS_GENUS}")
+    if args.verlinde_check and (boundary or args.genus < 1):
+        raise ValueError("--verlinde-check needs a closed surface of genus >= 1")
     spec = SurfaceSpec(r, args.genus, boundary)
     report = {
         "schema": "1",
@@ -222,11 +216,6 @@ def _cmd_dims(args):
         "dim": dim_space(spec),
     }
     if args.verlinde_check:
-        if boundary or args.genus < 1:
-            return EXIT_USAGE, {
-                "schema": "1",
-                "error": "--verlinde-check needs a closed surface of genus >= 1",
-            }
         vfloat, vnear = verlinde_dim(r, args.genus)
         report["verlinde_float"] = vfloat
         report["verlinde_nearest"] = vnear

@@ -39,12 +39,12 @@ import cmath
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count, islice
+from itertools import islice
 from math import gcd
 
 import numpy as np
 
-from .levels import is_odd_prime, is_prime, prime_divisors
+from .levels import _primitive_root, is_odd_prime, is_prime, prime_divisors
 
 __all__ = [
     "CycField",
@@ -197,13 +197,10 @@ class _SplitTable:
         n, poly = self.n, self.poly
         rows = []
         for p in primes:
-            for g in count(2):
-                om = pow(g, (p - 1) // n, p)
-                pw = [1]
-                for _ in range(n - 1):
-                    pw.append(pw[-1] * om % p)
-                if 1 not in pw[1:]:  # om has order exactly n
-                    break
+            om = pow(_primitive_root(p), (p - 1) // n, p)  # of order exactly n
+            pw = [1]
+            for _ in range(n - 1):
+                pw.append(pw[-1] * om % p)
             rows.append([pw[e] for e in self.units])
         roots = np.array(rows, dtype=np.int64)
         p = np.array(primes, dtype=np.int64)[:, None]

@@ -4,17 +4,20 @@ multiplicities, and the genus-growth margin.
 
 Labels at level r are the even integers {0, 2, ..., r-3}.  A triple admits an
 invariant vector iff it satisfies the triangle inequality and a + b + c <=
-2(r-2); dimensions of arbitrary (genus, boundary) surfaces are assembled from
-these 0/1 coefficients by cutting the surface into pants along a canonical
-linear chain of handles.  Dimensions are exact Python integers throughout:
-the Verlinde power sum comes from Newton's identities on an integer
-polynomial whose roots are its terms, and its float value is kept only as a
-diagnostic.  Nothing here needs a cyclotomic field or numpy.
+2(r-2), so for fixed a and b the admissible c form one window of even labels.
+Dimensions of arbitrary (genus, boundary) surfaces are assembled from these
+0/1 coefficients by cutting the surface into pants along a canonical linear
+chain of handles, walking one row vector along the chain: a product by a
+fusion matrix is a pass of prefix sums over the windows, and no matrix is
+formed.  Dimensions are exact Python integers throughout: the Verlinde power
+sum comes from Newton's identities on an integer polynomial whose roots are
+its terms, and its float value is kept only as a diagnostic.  Nothing here
+needs a cyclotomic field or numpy.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import accumulate
 from math import comb, pi, sin
 
 from .levels import _require_level, so3_labels
@@ -23,8 +26,6 @@ __all__ = [
     "SurfaceSpec",
     "labels",
     "fusion_coeff",
-    "fusion_matrix",
-    "handle_matrix",
     "dim_space",
     "verlinde_dim",
     "twist_multiplicities",
@@ -42,14 +43,19 @@ def _check_label(r, h):
         raise ValueError(f"label {h} outside {{0, 2, ..., {r - 3}}}")
 
 
+def _window(r: int, a: int, b: int):
+    """(lo, hi): N(a, b, c) = 1 exactly for the even c with lo <= c <= hi.
+    hi is even and at most r - 2, so it never passes the last label r - 3."""
+    return abs(a - b), min(a + b, 2 * (r - 2) - a - b)
+
+
 def fusion_coeff(r: int, a: int, b: int, c: int) -> int:
     """1 iff |a-b| <= c <= a+b and a+b+c <= 2(r-2), else 0."""
     _require_level(r)
     for h in (a, b, c):
         _check_label(r, h)
-    if abs(a - b) <= c <= a + b and a + b + c <= 2 * (r - 2):
-        return 1
-    return 0
+    lo, hi = _window(r, a, b)
+    return 1 if lo <= c <= hi else 0
 
 
 class SurfaceSpec:
@@ -89,60 +95,30 @@ class SurfaceSpec:
         return f"SurfaceSpec(r={r!r}, genus={genus!r}, boundary={boundary!r})"
 
 
-@lru_cache(maxsize=None)
-def fusion_matrix(r: int, h: int):
-    """(N_h)_{ab} = N(a, h, b) as a tuple-of-tuples integer matrix."""
-    ls = labels(r)
-    return tuple(
-        tuple(fusion_coeff(r, a, h, b) for b in ls) for a in ls
-    )
-
-
-def _matmul_int(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
-def handle_matrix(r: int):
-    """H = sum_x N_x^2; one application glues a handle onto the surface."""
-    ls = labels(r)
-    n = len(ls)
-    acc = [[0] * n for _ in range(n)]
-    for x in ls:
-        nx = fusion_matrix(r, x)
-        sq = _matmul_int(nx, nx)
-        for i in range(n):
-            for j in range(n):
-                acc[i][j] += sq[i][j]
-    return tuple(tuple(row) for row in acc)
-
-
-@lru_cache(maxsize=None)
-def _handle_power(r: int, g: int):
-    if g == 0:
-        n = len(labels(r))
-        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return _matmul_int(_handle_power(r, g - 1), handle_matrix(r))
+def _fuse(r: int, row: list, h: int) -> list:
+    """row N_h, where (N_h)_(ab) = N(a, h, b): entry b sums row over the
+    window of (h, b), read off one pass of prefix sums."""
+    prefix = list(accumulate(row, initial=0))
+    out = []
+    for b in range(0, 2 * len(row), 2):
+        lo, hi = _window(r, h, b)
+        out.append(prefix[hi // 2 + 1] - prefix[lo // 2] if lo <= hi else 0)
+    return out
 
 
 def dim_space(spec: SurfaceSpec) -> int:
     """Exact dimension for (genus, boundary labels) from the gluing rules.
 
     Base cases: a sphere with <= 2 boundary components gives Kronecker
-    deltas, three components give the fusion coefficient.  Genus is removed
-    one handle at a time through H = sum_x N_x^2 and the boundary chain is
-    contracted through products of fusion matrices; trailing 0-labels are
+    deltas, three components give the fusion coefficient.  Otherwise the
+    dimension is the entry e_(h_0) H^g N_(h_1) ... N_(h_(k-2)) e_(h_(k-1)),
+    H = sum_x N_x^2 gluing one handle: the row of the first label is walked
+    through g handles, row H = sum_x (row N_x) N_x, and the fusion matrices of
+    the inner labels, then read at the last label.  Trailing 0-labels are
     free to add, which settles the closed and one-holed cases."""
     r, g = spec.r, spec.genus
     hs = list(spec.boundary)
     ls = labels(r)
-    index = {h: i for i, h in enumerate(ls)}
 
     if g == 0:
         if len(hs) == 0:
@@ -154,10 +130,12 @@ def dim_space(spec: SurfaceSpec) -> int:
     while len(hs) < 2:
         hs.append(0)  # capping with the trivial label leaves the space unchanged
 
-    chain = _handle_power(r, g)
+    row = [1 if h == hs[0] else 0 for h in ls]
+    for _ in range(g):
+        row = [sum(col) for col in zip(*(_fuse(r, _fuse(r, row, x), x) for x in ls))]
     for h in hs[1:-1]:
-        chain = _matmul_int(chain, fusion_matrix(r, h))
-    return chain[index[hs[0]]][index[hs[-1]]]
+        row = _fuse(r, row, h)
+    return row[hs[-1] // 2]
 
 
 def _verlinde_polynomial(r: int):

@@ -1,7 +1,7 @@
-"""Level helpers shared by every module: primality, prime divisors, the level
-check (r an odd prime >= 5), the SO(3) label set, the levels with character
-tables and products in SL2(F_r).  Plain integers only, so that a caller which
-needs nothing more never loads numpy."""
+"""Level helpers shared by every module: primality, prime divisors, primitive
+roots mod p, the level check (r an odd prime >= 5), the SO(3) label set, the
+levels with character tables and products in SL2(F_r).  Plain integers only,
+so that a caller which needs nothing more never loads numpy."""
 
 from __future__ import annotations
 
@@ -53,6 +53,15 @@ def prime_divisors(n: int) -> list:
                 n //= q
         q += 1
     return out + [n] if n > 1 else out
+
+
+def _primitive_root(p):
+    """Smallest generator of F_p^*, p prime."""
+    fac = prime_divisors(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
+            return g
+    raise ArithmeticError("no primitive root found")
 
 
 def _require_level(r: int):

@@ -156,11 +156,9 @@ def _kappa_power(md: ModularData, sigma: int) -> CycNumber:
 
 
 def tau(md: ModularData, chain: ChainSurgery) -> InvariantValue:
-    """(1/D) <chain> (p_minus/D)^sigma, all factors exact."""
-    bracket = omega_chain_bracket(md, chain)
-    sigma = signature(chain.linking_matrix())
-    value = md.global_dim_inv * bracket * _kappa_power(md, sigma)
-    return InvariantValue.of(value)
+    """(1/D) <chain> (p_minus/D)^sigma, all factors exact: the split union
+    of the one chain."""
+    return tau_union(md, (chain,))
 
 
 def tau_union(md: ModularData, chains) -> InvariantValue:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .cyclo import _int_matmul, _mod, get_field
 from .cycmatrix import CycMatrix, _lift
-from .levels import SUPPORTED_RANGE, is_odd_prime, is_prime, prime_divisors, sl2_mul
+from .levels import SUPPORTED_RANGE, _primitive_root, is_odd_prime, is_prime, sl2_mul
 
 __all__ = [
     "FiniteGroup",
@@ -175,15 +175,6 @@ def sl2_group(r: int) -> FiniteGroup:
     ]
     gens = [(0, r - 1, 1, 0), (1, 1, 0, 1)]
     return FiniteGroup(r, "SL2", els, gens)
-
-
-def _primitive_root(p):
-    """Smallest generator of F_p^*, p prime."""
-    fac = prime_divisors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise ArithmeticError("no primitive root found")
 
 
 @lru_cache(maxsize=None)

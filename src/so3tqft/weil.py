@@ -59,7 +59,8 @@ class HeisenbergWord:
         return HeisenbergWord(r, z_exp % r, x_exp % r, y_exp % r)
 
     def __mul__(self, other: "HeisenbergWord") -> "HeisenbergWord":
-        assert self.r == other.r
+        if self.r != other.r:
+            raise ValueError(f"words of levels {self.r} and {other.r} do not multiply")
         r = self.r
         # (z^e x^a y^c)(z^e' x^a' y^c') = z^{e+e'+2ca'} x^{a+a'} y^{c+c'}
         return HeisenbergWord.of(

@@ -306,6 +306,8 @@ def test_verify_all_past_the_caps_imports_no_table_or_enumeration():
         ["modular-data", "--r", "5", "--json", "--out", "{tmp}/missing/x.json"],
         ["tau", "--r", "5", "--survey", "-3", "--json"],
         ["dims", "--r", "5", "--genus", "1", "--seed", "3"],
+        ["dims", "--r", "5", "--genus", "0", "--verlinde-check"],
+        ["dims", "--r", "5", "--genus", "1", "--boundary", "2", "--verlinde-check"],
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):

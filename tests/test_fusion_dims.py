@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -130,6 +131,54 @@ def test_verlinde_matches_cyclotomic_trace():
     for r in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
         oracle = _verlinde_traces(r, 30)
         assert [verlinde_dim(r, g)[1] for g in range(1, 31)] == oracle, r
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _matrix_dim(r, g, boundary):
+    """dim_space by whole matrices: e_(h_0) H^g N_(h_1) ... N_(h_(k-2))
+    e_(h_(k-1)) with N_h read entry by entry from fusion_coeff, H = sum_x
+    N_x^2 and H^g by repeated multiplication, past the same base cases."""
+    hs = list(boundary)
+    if g == 0 and len(hs) <= 2:
+        return int(hs in ([], [0]) or (len(hs) == 2 and hs[0] == hs[1]))
+    hs += [0] * (2 - len(hs))
+    ls = labels(r)
+    fusion = {h: [[fusion_coeff(r, a, h, b) for b in ls] for a in ls] for h in ls}
+    squares = [_matmul(fusion[x], fusion[x]) for x in ls]
+    handle = [[sum(sq[i][j] for sq in squares) for j in range(len(ls))] for i in range(len(ls))]
+    chain = [[int(i == j) for j in range(len(ls))] for i in range(len(ls))]
+    for _ in range(g):
+        chain = _matmul(chain, handle)
+    for h in hs[1:-1]:
+        chain = _matmul(chain, fusion[h])
+    return chain[ls.index(hs[0])][ls.index(hs[-1])]
+
+
+def test_row_walk_matches_the_matrix_chain():
+    rng = random.Random(25)
+    zeros = 0
+    for r in (5, 7, 11, 13, 17, 19, 23):
+        ls = labels(r)
+        for g in range(5):
+            for k in range(5):
+                for _ in range(4):
+                    boundary = tuple(rng.choice(ls) for _ in range(k))
+                    want = _matrix_dim(r, g, boundary)
+                    assert dim_space(SurfaceSpec(r, g, boundary)) == want, (r, g, boundary)
+                    zeros += want == 0
+    assert zeros > 0  # vanishing dimensions are among the cases
+
+
+def test_row_walk_has_no_genus_recursion():
+    assert dim_space(SurfaceSpec(5, 1200)) == _matrix_dim(5, 1200, ())
+
+
+def test_row_walk_matches_verlinde_at_the_level_cap():
+    for g in range(1, 7):
+        assert dim_space(SurfaceSpec(113, g)) == verlinde_dim(113, g)[1]
 
 
 def test_twist_multiplicities():

@@ -13,11 +13,10 @@ import pytest
 from so3tqft import sl2_char
 from so3tqft.cycmatrix import CycMatrix, _product, _product_equals
 from so3tqft.cyclo import CycNumber, _split_primes, get_field
-from so3tqft.levels import SUPPORTED_RANGE, is_odd_prime, sl2_mul
+from so3tqft.levels import SUPPORTED_RANGE, _primitive_root, is_odd_prime, sl2_mul
 from so3tqft.sl2_char import (
     _certify_tensor,
     _dixon_primes,
-    _primitive_root,
     _split_eigenvectors,
     _tensor_multiplicities,
     _verify_orthogonality,

@@ -1,8 +1,9 @@
 """Byte identity of stdout: SHA-256 digests of the JSON that `tau`, `image`
 and `verify-all` print at r = 5, 7 and 13, that `chartab --check-ltwo
---check-borel` prints at r = 5, 7, 11 and 13, and of two commands whose
-output goes through CycNumber.inv, run in process.  A change that alters
-any of these outputs must say so and update the digest."""
+--check-borel` prints at r = 5, 7, 11 and 13, of two commands whose output
+goes through CycNumber.inv, of `dims` on closed and bounded surfaces, and of
+the text and CSV forms of each report kind, run in process.  A change that
+alters any of these outputs must say so and update the digest."""
 
 import hashlib
 
@@ -79,6 +80,70 @@ _INVERSE_DIGESTS = (
 )
 
 
+# dims --r 13 --genus g --verlinde-check --json for g = 1..12
+_DIMS_R13_DIGESTS = (
+    "ede3c1a0ea619afcd1d479b2053420eec2b210055482269ab766cd3eed6cefd0",
+    "d0b0a21e42b56fe31fce9570144e9daf3e61d64d13f5446942acf0fa661c73a1",
+    "53414163a6da7df46e981ca107590dd4b7fe2ee2321b627ce0685b7941d942b4",
+    "63b8402850c92b91becc358060708dd2d873601259a6fcadfa9811130b5d7e2c",
+    "cbc7719d45115f799ca230f00da363470a2bee9f09fba451811135d40cef2018",
+    "ef288ec4ba3f920aad3d0c84d200c1a22900c94fe1bb91e90ca67aa69d391fcd",
+    "fff4083b819cfb7be81edf0ae81b14be2d64e302214a68400ad90207e30b0f30",
+    "862434a31509296838f92ce7b7bf3c52f062604c4cfebae8798d302f7a8fe12e",
+    "79a2ced96d2709cab707b535ae790f4e0291697b87a67ba0e9bcf3a8b60caf3e",
+    "4d15f3969f586cbbf64017d97a4c4d369307d942aed8e75690d1017f002eeb35",
+    "c4fd205d9f828b4831ebb274396794ede7c69e326f3be8efd166b90b0647cf61",
+    "db2048a3c61b62f959df75e9191e7a4ed71c6bf2301ffcff2970ec02d4fdb65b",
+)
+
+# boundary chains through inner fusion labels, and the level cap
+_DIMS_DIGESTS = (
+    (
+        ["dims", "--r", "7", "--genus", "1", "--boundary", "2,2", "--json"],
+        "436e4b4b55601bc2c1e50d5f49d28f29980ec3fc521ae77928eaf195da73e000",
+    ),
+    (
+        ["dims", "--r", "11", "--genus", "3", "--boundary", "2,4,6", "--json"],
+        "3064aa66b3c930e738899d9780cad2d152f12be72b4ec793e58bfef128f5e728",
+    ),
+    (
+        ["dims", "--r", "113", "--genus", "6", "--verlinde-check", "--json"],
+        "115d60d421a1c7a39f8a4028f33a85cccd1af4f46da33882587f309ed7a15198",
+    ),
+)
+
+# (argv at r = 7, digest of its text output, digest of its --csv output);
+# modular-data at r = 13 has lists of more than 12 entries, which text elides
+_TEXT_CSV_DIGESTS = (
+    (
+        ["dims", "--r", "7", "--genus", "3", "--verlinde-check"],
+        "0a151add207c7692ca78630f127d43b1df80740e257f8ee62dee023624077249",
+        "456813a6471527441fc6852cb952df6e9fd2984b4c5833b20cb91e2004a85e5b",
+    ),
+    (
+        ["verify-all", "--r", "7"],
+        "b86b335c5cc8edd78e4725208fbb7a76f865efaaf22c1eb2518c99545ec8f017",
+        "c927e4955c38fcd83bdf0532438f0b2daddf36e92877a161738a32ce7047e9b9",
+    ),
+    (
+        ["image", "--r", "7"],
+        "aed3cdedff970f94e2fbff5855c4b549e9e38f97db1556a5ea5565730a91c845",
+        "280ad87b31104b65bab679c61b0b22bfda223276ed03700b908f2b8f327b82d9",
+    ),
+    (
+        ["modular-data", "--r", "7"],
+        "9911e0f4bcddf479f0a8a5e9716a28ce438c65f6ded4883b77c0731c5a224031",
+        "210a1dcfed658773c91e4bd442133f3f9a2667db7340a6e7b47f955f2e40f6e8",
+    ),
+    (
+        ["chartab", "--r", "7", "--check-ltwo"],
+        "b50e6d4c5d61a75a11a0703a6be1a65d255d5c391839528afa06a6f02b69b5e9",
+        "8396df038d5b8bf763dec2fbdf95766e83ef46e5fe153bec76c4ea2448a3362c",
+    ),
+)
+_MODULAR_DATA_R13_TEXT = "77969fdbab73a25a3f55568e29a0e3203cf2d356a67c77a9035611aa3026030b"
+
+
 def _changed(capsys, runs):
     """The argvs of the (argv, digest) runs whose stdout or exit differs."""
     changed = []
@@ -109,3 +174,18 @@ def test_chartab_digests(capsys):
 
 def test_inverse_digests(capsys):
     assert not _changed(capsys, _INVERSE_DIGESTS)
+
+
+def test_dims_digests(capsys):
+    runs = [
+        (["dims", "--r", "13", "--genus", str(g), "--verlinde-check", "--json"], want)
+        for g, want in enumerate(_DIMS_R13_DIGESTS, start=1)
+    ]
+    assert not _changed(capsys, [*runs, *_DIMS_DIGESTS])
+
+
+def test_text_and_csv_digests(capsys):
+    runs = [(argv, text) for argv, text, _ in _TEXT_CSV_DIGESTS]
+    runs += [([*argv, "--csv"], csv) for argv, _, csv in _TEXT_CSV_DIGESTS]
+    runs.append((["modular-data", "--r", "13"], _MODULAR_DATA_R13_TEXT))
+    assert not _changed(capsys, runs)

@@ -90,6 +90,12 @@ def test_word_normal_form():
         assert pres.rho_word(w1 * w2) == pres.rho_word(w1) @ pres.rho_word(w2)
 
 
+def test_words_of_different_levels_do_not_multiply():
+    # a ValueError, not an assert: it must hold under python -O too
+    with pytest.raises(ValueError, match="levels 5 and 7"):
+        HeisenbergWord.of(5, 0, 1, 0) * HeisenbergWord.of(7, 0, 1, 0)
+
+
 @pytest.mark.parametrize("r", PRIMES)
 def test_monomial_composition_matches_dense_products(r):
     # the exponent route of the relation checks against the dense products
