@@ -359,7 +359,11 @@ def _cmd_tau(args):
     if args.survey is not None:
         if args.survey > MAX_SURVEY_LEN:
             raise CapacityError(f"survey capped at word length {MAX_SURVEY_LEN}")
-        report["survey"] = norm_survey(md, args.survey)
+        try:  # the survey needs identify_group's certificate
+            report["survey"] = norm_survey(md, args.survey)
+        except ArithmeticError as e:
+            report["survey"] = {"error": str(e)}
+            return EXIT_VERIFY_FAIL, report
     return EXIT_OK, report
 
 

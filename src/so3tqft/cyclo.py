@@ -380,12 +380,6 @@ class CycNumber:
         self.num = num
         self.den = den
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def rational(q, n: int) -> "CycNumber":
-        return get_field(n).from_fraction(q)
-
     # -- helpers -----------------------------------------------------------
 
     def _coerce(self, other):

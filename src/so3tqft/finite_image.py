@@ -21,22 +21,23 @@ and its inverses m^dagger, up to sign: linear_lift_report certifies that
 group to be SL2(F_r) or PSL2(F_r), whose only scalars are +-I, so its
 classes up to sign are the projective classes.  Of m and -m it keeps the
 one whose first nonzero coefficient is positive, so keying a class needs
-no division.  The closure is a breadth-first search
-under left multiplication by the generators, hashing that representative's
-coefficient data.  The search is deterministic: frontier order, generator
-order and shortest words are all reproducible.  It runs by blocks: a block
-of frontier elements is multiplied by all distinct generator matrices in
-one kernel call, and the products are normalized, signed and keyed as one
-stack; new elements are then taken in the order the one-at-a-time search
-would find them, so orders, words and cut-offs are unchanged.  The norm
-survey of mfld3 walks the same search.  The odd Weil generators are not
-searched again: the odd-block identification of weil certifies them to be
-nonzero scalar multiples of rho(s) and rho(t), so weil_closure runs that
-certificate and returns the genus-1 closure.
+no division.  The closure is a breadth-first search under left
+multiplication by the generators, hashing that representative's
+coefficient data, in a reproducible frontier and generator order.  It runs
+by blocks: a block of frontier elements is multiplied by all distinct
+generator matrices in one kernel call, and the products are normalized,
+signed and keyed as one stack; new elements are then taken in the order
+the one-at-a-time search would find them, so orders, words and cut-offs
+are unchanged.  (The norm survey of mfld3 walks PSL2(F_r) mod r instead.)
+The odd Weil generators are not searched again: the odd-block
+identification of weil certifies them to be nonzero scalar multiples of
+rho(s) and rho(t), so weil_closure runs that certificate and returns the
+genus-1 closure.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,20 +100,21 @@ def _up_to_sign(arr, den):
     return arr * sign, den
 
 
-def _bfs(gens):
-    """Breadth-first closure of the identity under left multiplication by
-    gens, each product taken to its representative up to sign.
-
-    Yields (matrix, matrix key, parent index, generator index) for each new
-    element in the order of the one-at-a-time search: frontier order, then
-    generator order; the identity, index 0, is not yielded.  The frontier is
-    taken _BLOCK elements at a time, and all their products with the
-    distinct generator matrices (up to sign) are one cycmatrix._product of
-    the stacked generators by the stacked block, normalized and keyed as one
-    stack; only the new elements are copied out of it."""
-    field = gens[0].field
-    n = gens[0].rows
-    d = field.degree
+def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
+    """BFS closure of the group generated by `gens` modulo +-I, under left
+    multiplication: each element is kept as its representative up to sign.
+    For the certified lift, whose only scalars are +-I, that is the
+    projective image.  Exceeding max_order is reported through
+    complete=False rather than raised: not terminating within the bound is
+    a finding.  Only the new elements are copied out of each block's stack
+    of products."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
+    if names is None:
+        names = tuple(f"g{i}" for i in range(len(gens)))
+    field, n, d = gens[0].field, gens[0].rows, gens[0].field.degree
     # one product per distinct generator up to sign (m_s^-1 = +-m_s)
     garr, gden = _up_to_sign(np.stack([g.arr for g in gens]), [g.den for g in gens])
     gkeys = _stack_keys(garr, gden)
@@ -122,58 +124,33 @@ def _bfs(gens):
     u = len(distinct)
     garr, gden = garr[first], gden[first]
 
-    start = CycMatrix.identity(field, n)
-    frontier = [start]
-    seen = {start.key()}
+    ident = CycMatrix.identity(field, n)
+    elements, words = {ident.key(): ident}, {ident.key(): ""}
+    frontier = [(ident, "")]  # (element, word) in discovery order
+    complete = True
     head = 0
-    while head < len(frontier):
+    while complete and head < len(frontier):
         block = frontier[head : head + _BLOCK]
         b = len(block)
-        operand = np.stack([m.arr for m in block])[:, None]
+        operand = np.stack([m.arr for m, _ in block])[:, None]
         raw = _product(field, garr, operand).reshape(b * u, n, n, d)
-        dens = np.array([m.den for m in block], dtype=object)[:, None] * gden
+        dens = np.array([m.den for m, _ in block], dtype=object)[:, None] * gden
         arr, dens = _up_to_sign(raw, dens.reshape(-1))
         keys = _stack_keys(arr, dens)
         new = []
-        for i in range(b):
-            for j in range(len(gens)):
-                s = i * u + slots[j]
-                if keys[s] not in seen:
-                    seen.add(keys[s])
-                    new.append((s, head + i, j))
-        compact = arr[[s for s, _, _ in new]]
-        for (s, parent, j), a in zip(new, compact):
-            m = CycMatrix._from_normalized(field, a, dens[s])
-            frontier.append(m)
-            yield m, keys[s], parent, j
+        for i, j in itertools.product(range(b), range(len(gens))):
+            s = i * u + slots[j]
+            if keys[s] in words:
+                continue
+            if len(words) >= max_order:
+                complete = False
+                break
+            words[keys[s]] = names[j] + block[i][1]
+            new.append(s)
+        for s, a in zip(new, arr[new]):
+            elements[keys[s]] = m = CycMatrix._from_normalized(field, a, dens[s])
+            frontier.append((m, words[keys[s]]))
         head += b
-
-
-def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
-    """BFS closure of the group generated by `gens` modulo +-I, under left
-    multiplication: each element is kept as its representative up to sign.
-    For the certified lift, whose only scalars are +-I, that is the
-    projective image.  Exceeding max_order is reported through
-    complete=False rather than raised: not terminating within the bound is
-    a finding."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    if names is None:
-        names = tuple(f"g{i}" for i in range(len(gens)))
-    ident = CycMatrix.identity(gens[0].field, gens[0].rows)
-    elements = {ident.key(): ident}
-    words = {ident.key(): ""}
-    order = [""]  # words in discovery order
-    complete = True
-    for mat, key, parent, j in _bfs(gens):
-        if len(elements) >= max_order:
-            complete = False
-            break
-        elements[key] = mat
-        words[key] = names[j] + order[parent]
-        order.append(words[key])
     return GroupClosure(
         order=len(elements),
         elements=elements,

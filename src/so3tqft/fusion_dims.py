@@ -18,7 +18,7 @@ needs a cyclotomic field or numpy.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb, pi, sin
+from math import comb, inf, pi, sin
 
 from .levels import _require_level, so3_labels
 
@@ -166,7 +166,7 @@ def _verlinde_polynomial(r: int):
 def verlinde_dim(r: int, g: int):
     """Closed-surface dimension as the power sum p_(g-1) over alpha_j =
     r csc^2(2 pi j / r) / 4, j = 1..(r-1)/2.  Returns (float value, exact
-    integer); the float is a diagnostic only.
+    integer); the float is a diagnostic only, inf past double range.
 
     The alpha_j = r / (2 - 2 cos(2 pi k / r)), k = 1..(r-1)/2, are the roots
     of the integer polynomial H of `_verlinde_polynomial`, so Newton's
@@ -176,10 +176,11 @@ def verlinde_dim(r: int, g: int):
     _require_level(r)
     if g < 1:
         raise ValueError("the power-sum formula needs genus >= 1")
-    total = 0.0
-    for j in range(1, (r - 1) // 2 + 1):
-        alpha = r / (4.0 * sin(2.0 * pi * j / r) ** 2)
-        total += alpha ** (g - 1)
+    alphas = [r / (4.0 * sin(2.0 * pi * j / r) ** 2) for j in range(1, (r - 1) // 2 + 1)]
+    try:  # past double range the float saturates
+        total = sum(alpha ** (g - 1) for alpha in alphas)
+    except OverflowError:
+        total = inf
     e = _verlinde_polynomial(r)
     n = len(e) - 1
     p = [n]  # p_0

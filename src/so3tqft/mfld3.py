@@ -30,8 +30,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cyclo import CycNumber
-from .cycmatrix import CycMatrix, _Letter, _walk
+from .cycmatrix import CycMatrix, _Letter, _normalize, _product, _storage, _walk
+from .levels import sl2_mul
 from .modular_data import ModularData, rho_genus1
 
 __all__ = [
@@ -241,49 +244,68 @@ def lens_routes_agree(md: ModularData, p: int, sign: int = LENS_WORD_SIGN) -> bo
 def norm_survey(md: ModularData, max_word_len: int) -> dict:
     """All |<e_0, rho(w) e_0>| over words w in {s, t} of length at most
     max_word_len.  Words reaching the same projective class give the same
-    norm, so the survey walks finite_image's search over the linear lift
-    (m_s, m_t), one class per element up to sign, to the depth
-    max_word_len; it stops early once no new classes appear.  The lift
-    scales rho by roots of unity, so x * conj(x) of entry (0, 0), the
-    bucket key, is that of rho(w).
-
-    The distinct-value count is finite and bounded by the order of the
-    projective image, certified by identify_group, in contrast with the
-    higher-genus situation."""
-    from .finite_image import _bfs, identify_group, so3_generators
+    norm, so the survey walks PSL2(F_r), 2 x 2 matrices mod r up to sign,
+    breadth-first from I by right multiplication with g_s = (0, r-1, 1, 0)
+    and g_t = (1, 1, 0, 1), to the depth max_word_len or until no new class
+    appears.  Each class carries only row 0 of its image under the linear
+    lift (m_s, m_t), row(w g) = row(w) m_g, one stacked product per level
+    and generator; the lift scales rho by roots of unity, so x * conj(x) of
+    its entry 0, the bucket key, is that of rho(w).  The keying rests on
+    identify_group's certificate (else ArithmeticError): the lift satisfies
+    the relators of SL2(F_r) at (m_t, m_s) and the projective kernel is the
+    center, so +-M -> the class of its lift up to sign is a bijection, and
+    the distinct-value count is bounded by the certified order."""
+    from .finite_image import identify_group, so3_generators
 
     if max_word_len > MAX_SURVEY_LEN:
         raise ValueError(f"survey capped at word length {MAX_SURVEY_LEN}")
     if max_word_len < 0:
         raise ValueError("survey word length must be non-negative")
-    m_s, m_t = so3_generators(md.r)[1][:2]
+    r, field = md.r, md.field
+    closure_order = identify_group(r)["order"]
+    if closure_order is None:
+        raise ArithmeticError(f"no certificate that the genus-1 image at r={r} is PSL2(F_r)")
+    gens = tuple(zip(((0, r - 1, 1, 0), (1, 1, 0, 1)), so3_generators(r)[1][:2]))
 
-    # exact |m[0, 0]|^2 -> [|m[0, 0]| of its first class, rounded; class count]
-    buckets = {}
-
-    def count(m):
-        x = m[(0, 0)]
-        buckets.setdefault(x * x.conj(), [round(abs(x.embed()), 12), 0])[1] += 1
-
-    count(CycMatrix.identity(md.field, len(md.labels)))
-    depth = [0]  # word length of each class, in discovery order
-    for m, _, parent, _ in _bfs((m_s, m_t)):
-        if depth[parent] == max_word_len:
+    buckets = {}  # exact |x|^2 -> [|x| of its first class, rounded; class count]
+    level, depth = [(1, 0, 0, 1)], 0  # the newest classes and their word length
+    seen = set(level)
+    rows = CycMatrix.identity(field, len(md.labels)).arr[None, :1]  # rows 0 of their lifts
+    dens = np.ones(1, dtype=object)
+    while True:
+        for num, den in zip(rows[:, 0, 0].tolist(), dens.tolist()):
+            x = CycNumber(field, num, den)
+            buckets.setdefault(x * x.conj(), [round(abs(x.embed()), 12), 0])[1] += 1
+        if depth == max_word_len:
             break
-        depth.append(depth[parent] + 1)
-        count(m)
+        nxt, parts = [], []
+        for g, m in gens:
+            pick = []  # the classes whose product by g is new
+            for i, w in enumerate(level):
+                wg = sl2_mul(w, g, r)
+                key = min(wg, tuple(-v % r for v in wg))
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(key)
+                    pick.append(i)
+            if pick:
+                parts.append(_normalize(_product(field, rows[pick], m.arr), dens[pick] * m.den))
+        if not nxt:
+            break
+        level, depth = nxt, depth + 1
+        rows = _storage(np.concatenate([a for a, _ in parts]))
+        dens = np.concatenate([q for _, q in parts])
 
-    closure_order = identify_group(md.r)["order"]
     histogram = sorted(buckets.values())
     values = [v for v, _ in histogram]
     return {
         "r": md.r,
         "max_word_len": max_word_len,
-        "classes_reached": len(depth),
+        "classes_reached": len(seen),
         "distinct_value_count": len(values),
         "closure_order": closure_order,
-        "bounded_by_closure": closure_order is not None and len(values) <= closure_order,
-        "saturation_length": depth[-1],
+        "bounded_by_closure": len(values) <= closure_order,
+        "saturation_length": depth,
         "values": values,
         "histogram": {str(v): c for v, c in histogram},
     }

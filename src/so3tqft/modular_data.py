@@ -12,6 +12,7 @@ Everything here is exact; floats appear only through explicit embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -98,14 +99,15 @@ def build_modular_data(r: int) -> ModularData:
     qdim = dict(zip(labels, s_tilde.row(0)))
     twist = {l: f.zeta_power((r + 1) * l * (l + 2)) for l in labels}  # A^{l(l+2)}
 
-    # D = sqrt(r) / (2 sin(pi/r)); 2 sin(pi/r) = -i (zeta_2r - zeta_2r^-1)
+    # D = sqrt(r) / (2 sin(pi/r)) with no inversion: D^-1 = 2 sin(pi/r) sqrt(r) / r
+    # and D = (sum d_i^2) D^-1, checked exactly; 2 sin(pi/r) = -i (zeta_2r - zeta_2r^-1)
     two_sin = (f.zeta_power(2) - f.zeta_power(-2)) * f.zeta_power(-r)
-    global_dim = sqrt_r(r) / two_sin
+    global_dim_inv = two_sin * sqrt_r(r) * f.from_fraction(Fraction(1, r))
     d_sq = {l: qdim[l] * qdim[l] for l in labels}
-    if global_dim * global_dim != sum(d_sq.values(), f.zero):
-        raise ArithmeticError("global dimension identity D^2 = sum d_i^2 failed")
-
-    global_dim_inv = global_dim.inv()
+    dim_sq = sum(d_sq.values(), f.zero)
+    global_dim = dim_sq * global_dim_inv
+    if global_dim * global_dim_inv != f.one or global_dim * global_dim != dim_sq:
+        raise ArithmeticError("global dimension identities D D^-1 = 1, D^2 = sum d_i^2 failed")
     s_unitary = s_tilde.scalar_mul(global_dim_inv)
 
     p_plus = sum((twist[l] * d_sq[l] for l in labels), f.zero)

@@ -436,3 +436,47 @@ def test_chain_with_a_leading_negative_framing(capsys):
     code, out, err = run(capsys, "tau", "--r", "7", "--chain", "-1,2", "--json")
     assert code == 2 and out == ""
     assert "argument --chain: expected one argument" in err
+
+
+def test_tau_survey_without_a_certificate_reports_the_error(capsys, monkeypatch):
+    import so3tqft.finite_image as finite_image
+
+    monkeypatch.setattr(finite_image, "identify_group", lambda r: {"order": None})
+    code, out, err = run(capsys, "tau", "--r", "5", "--survey", "2", "--json")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert "no certificate" in report["survey"]["error"]
+    assert report["inputs"]["survey"] == 2 and "value_exact" in report
+
+
+_SURVEY_PEAK = """
+import tracemalloc
+from so3tqft.finite_image import identify_group, so3_generators
+from so3tqft.mfld3 import norm_survey
+from so3tqft.modular_data import build_modular_data
+md = build_modular_data(43)
+identify_group(43)
+so3_generators(43)
+tracemalloc.start()
+report = norm_survey(md, 3)
+print(report["classes_reached"], tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_norm_survey_peak_memory():
+    # in a fresh process, with the certificate and the lift already built:
+    # the traced peak of the survey alone.  It is 5.7 MB with one row per
+    # class keyed by PSL2(F_43), against 37.4 MB when the search kept each
+    # class as an exact n x n matrix of the lift
+    src = str(Path(so3tqft.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SURVEY_PEAK],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    classes, peak = map(int, proc.stdout.split())
+    assert classes == 11
+    assert peak < 10e6

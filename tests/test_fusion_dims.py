@@ -181,6 +181,16 @@ def test_row_walk_matches_verlinde_at_the_level_cap():
         assert dim_space(SurfaceSpec(113, g)) == verlinde_dim(113, g)[1]
 
 
+def test_verlinde_dim_past_double_range():
+    # alpha^(g-1) passes double range, so the float saturates and the exact
+    # integer is still returned
+    for r, g in ((5, 1200), (113, 69)):
+        vfloat, exact = verlinde_dim(r, g)
+        assert vfloat == math.inf
+        assert exact == dim_space(SurfaceSpec(r, g))
+    assert verlinde_dim(113, 68)[0] < math.inf
+
+
 def test_twist_multiplicities():
     assert twist_multiplicities(13) == [6, 15, 20, 21, 18, 11]
     assert twist_multiplicities(7) == [3, 6, 5]

@@ -310,13 +310,13 @@ def test_norm_survey_takes_the_certified_order(monkeypatch):
     assert report["bounded_by_closure"]
 
 
-def test_norm_survey_is_unbounded_without_a_certificate(monkeypatch):
+def test_norm_survey_raises_without_a_certificate(monkeypatch):
+    # the PSL2(F_r) keys are sound only under identify_group's certificate
     import so3tqft.finite_image as finite_image
 
     monkeypatch.setattr(finite_image, "identify_group", lambda r: {"order": None})
-    report = norm_survey(build_modular_data(5), 2)
-    assert report["closure_order"] is None
-    assert not report["bounded_by_closure"]
+    with pytest.raises(ArithmeticError, match="no certificate"):
+        norm_survey(build_modular_data(5), 2)
 
 
 def _dense_word_product(md, word):

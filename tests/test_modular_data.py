@@ -190,3 +190,23 @@ def test_spectrum_orientation_tracks_r_mod_4():
     for r in PRIMES:
         sp = dehn_twist_spectrum(r)
         assert sp.conjugated == (r % 4 == 3)
+
+
+@pytest.mark.parametrize("r", (5, 13, 113))
+def test_build_modular_data_inverts_nothing(monkeypatch, r):
+    # D^-1 = 2 sin(pi/r) sqrt(r) / r and D = (sum d_i^2) D^-1 need no inverse;
+    # the oracle is D = sqrt(r) / (2 sin(pi/r)) by one exact division
+    from so3tqft.cyclo import CycNumber, sqrt_r
+
+    f = get_field(4 * r)
+    two_sin = (f.zeta_power(2) - f.zeta_power(-2)) * f.zeta_power(-r)
+    want = sqrt_r(r) / two_sin
+
+    def no_inv(self):
+        raise AssertionError("build_modular_data inverted an element")
+
+    monkeypatch.setattr(CycNumber, "inv", no_inv)
+    md = build_modular_data.__wrapped__(r)
+    assert md.global_dim == want
+    assert md.global_dim * md.global_dim_inv == 1
+    assert md.global_dim.embed() == pytest.approx(math.sqrt(r) / (2 * math.sin(math.pi / r)))

@@ -1,9 +1,10 @@
 """Byte identity of stdout: SHA-256 digests of the JSON that `tau`, `image`
 and `verify-all` print at r = 5, 7 and 13, that `chartab --check-ltwo
---check-borel` prints at r = 5, 7, 11 and 13, of two commands whose output
-goes through CycNumber.inv, of `dims` on closed and bounded surfaces, and of
-the text and CSV forms of each report kind, run in process.  A change that
-alters any of these outputs must say so and update the digest."""
+--check-borel` prints at r = 5, 7, 11 and 13, of verify-all's inversion
+spot check and modular-data at r = 43, of `tau --survey` up to r = 43, of
+`dims` on closed and bounded surfaces, and of the text and CSV forms of
+each report kind, run in process.  A change that alters any of these
+outputs must say so and update the digest."""
 
 import hashlib
 
@@ -67,7 +68,7 @@ _CHARTAB_DIGESTS = {
 
 
 # verify-all at r = 19 spot-checks 100 inversions in Q(zeta_76), and
-# modular-data at r = 43 inverts for its global dimension and S
+# modular-data at r = 43 prints D, built from closed forms with no inversion
 _INVERSE_DIGESTS = (
     (
         ["verify-all", "--r", "19", "--seed", "1", "--json"],
@@ -76,6 +77,32 @@ _INVERSE_DIGESTS = (
     (
         ["modular-data", "--r", "43", "--json"],
         "c525dd979198a0a6bc4db0d8857013f65221acbce0179b90fc60827671e23889",
+    ),
+)
+
+
+# the norm survey: saturated at r = 11 and 13, beside a chain and a Heegaard
+# word, and at r = 17 and 43, past the enumeration cap
+_SURVEY_DIGESTS = (
+    (
+        ["tau", "--r", "11", "--survey", "20", "--json"],
+        "670108ff792274f6c0a5b90bafe8a3dfc4965be616dc6bd738c0761845e9ece4",
+    ),
+    (
+        ["tau", "--r", "13", "--survey", "20", "--json"],
+        "2dbcb1695973e17e3122ed3880249b37e95dd960520d4e630b52d01a16540c12",
+    ),
+    (
+        ["tau", "--r", "13", "--chain", "2,3,4", "--heegaard", "sttsTs", "--survey", "5", "--json"],
+        "4bcf022421f959925cfa490d393d53d73f88988dafaf9e7618d982e99d26ec80",
+    ),
+    (
+        ["tau", "--r", "17", "--survey", "9", "--json"],
+        "04a0e8b29219bdee984e6827fdc1d6ed266fb3acf6cac723d542fc467b9a4567",
+    ),
+    (
+        ["tau", "--r", "43", "--survey", "3", "--json"],
+        "c570d6d6e94686f32fa4fd5615ccc4cfeb4f27f4926523f2103c6a48c12349b4",
     ),
 )
 
@@ -174,6 +201,10 @@ def test_chartab_digests(capsys):
 
 def test_inverse_digests(capsys):
     assert not _changed(capsys, _INVERSE_DIGESTS)
+
+
+def test_survey_digests(capsys):
+    assert not _changed(capsys, _SURVEY_DIGESTS)
 
 
 def test_dims_digests(capsys):
