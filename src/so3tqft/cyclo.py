@@ -24,13 +24,13 @@ needed.  Modulo each such prime Phi_N splits into linear factors, so
 adj(M) e_0 and det(M) are found by evaluating num at the phi(N) primitive
 N-th roots of unity mod p, taking products and interpolating back, in
 float64 numpy arithmetic reduced by x - p floor(x / p) (_mod), which is
-exact because every product of two residues is below 2^40.  The Chinese
-remainder theorem and a symmetric lift give the exact integers, and one
-exact product x * x^-1 == 1 checks the result.  M is never formed: its
-column j is num z^j, so the column norms of the Hadamard bound are read off
-the same walk started at num (CycField.shifts).
-The primes and their roots are one table per field (CycField.split), which
-the matrix products of cycmatrix share.
+exact because every product of two residues is below 2^40.  Evaluation and
+interpolation are the split table's forward and backward transforms of
+each prime (CycField.split), the same ones the matrix products of cycmatrix
+read.  The Chinese remainder theorem and a symmetric lift give the exact
+integers, and one exact product x * x^-1 == 1 checks the result.  M is
+never formed: its column j is num z^j, so the column norms of the Hadamard
+bound are read off the same walk started at num (CycField.shifts).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -133,10 +133,10 @@ class _SplitTable:
     until used, then extended only as far as one inversion or product has
     needed.  Each prime's float64 transforms are built on first use and kept:
     the evaluation matrix (row k: the powers of the root alpha_k), which
-    every product and identity check needs, and the interpolation matrix
-    (column k: w_k times the coefficients of Phi_N / (x - alpha_k)), which
-    only a lifted product needs; fwd @ coefficients are the values at the
-    roots and back @ values the coefficients again, mod p."""
+    every inversion, product and identity check needs, and the interpolation
+    matrix (column k: w_k times the coefficients of Phi_N / (x - alpha_k)),
+    which every inversion and lifted product needs; fwd @ coefficients are
+    the values at the roots and back @ values the coefficients again, mod p."""
 
     def __init__(self, n: int, poly):
         self.n = n
@@ -185,7 +185,7 @@ class _SplitTable:
         if back is None:
             p, roots, w = self.p[i], self.roots[i], self.w[i]
             back = np.empty((len(roots),) * 2)
-            # the recurrence of CycNumber.inv: q_(d-1) = 1, q_(j-1) = c_j + alpha q_j
+            # the only copy of this recurrence: q_(d-1) = 1, q_(j-1) = c_j + alpha q_j
             q = np.ones_like(roots)
             for j in range(len(roots) - 1, -1, -1):
                 back[j] = w * q % p
@@ -476,16 +476,13 @@ class CycNumber:
         e = ma * d * max(1, f.red_max)
         num = np.array(self.num, dtype=work_dtype(d * e * e))
         s = sum(int(col @ col).bit_length() for col in islice(f.shifts(num), d))
-        ps, roots, w, big_p = f.split.take(1 << (1 + (s + 1) // 2))
+        ps, _, _, big_p = f.split.take(1 << (1 + (s + 1) // 2))
 
-        # every product of two residues is below 2^40 and every sum of d such
-        # products below 2^53, so x - p floor(x / p) in float64 (_mod) is exact
+        # residue products are below 2^40 and sums of d < 2^13 of them (as in
+        # cycmatrix._primes_for) below 2^53, so _mod is exact; v = num(roots)
         p = ps[:, None].astype(np.float64)
-        roots, w = roots.astype(np.float64), w.astype(np.float64)
         a = (num % ps.astype(num.dtype)[:, None]).astype(np.float64)
-        v = np.zeros_like(roots)
-        for j in range(d - 1, -1, -1):  # v = num(roots)
-            v = _mod(v * roots + a[:, j, None], p)
+        v = _mod(np.stack([f.split.forward(i) @ a[i] for i in range(len(ps))]), p)
         # adj(M) e_0 takes the value prod_{l != k} num(alpha_l) at alpha_k;
         # no residue is inverted, so a prime dividing det(M) serves as well.
         # left[k] = prod_{l < k} v_l and right[k] = prod_{l > k} v_l, by
@@ -497,16 +494,10 @@ class CycNumber:
             left[:, span:] = _mod(left[:, span:] * left[:, :-span], p)
             right[:, :-span] = _mod(right[:, :-span] * right[:, span:], p)
             span *= 2
-        z = _mod(_mod(left * right, p) * w, p)
-        # interpolate: adj(M) e_0 = sum_k z_k Phi(x) / (x - alpha_k), whose
-        # coefficients are q_(d-1) = 1, q_(j-1) = c_j + alpha q_j
-        res = np.empty((len(ps), d + 1))
-        res[:, d] = left[:, -1] * v[:, -1]  # det(M)
-        q = np.ones_like(v)
-        for j in range(d - 1, -1, -1):
-            res[:, j] = (z * q).sum(axis=1)
-            q = _mod(q * roots + f.poly[j], p)
-        res = _mod(res, p)
+        # interpolate by the backward transforms, which carry w; det(M) last
+        z = _mod(left * right, p)
+        adj = np.stack([f.split.backward(i) @ z[i] for i in range(len(ps))])
+        res = _mod(np.column_stack([adj, left[:, -1] * v[:, -1]]), p)
 
         crt = [big_p // pi * pow(big_p // pi, -1, pi) for pi in ps.tolist()]
         lifted = (res.T.astype(np.int64).astype(object) @ np.array(crt, dtype=object)) % big_p
@@ -589,12 +580,9 @@ class CycNumber:
 
     @staticmethod
     def from_json(obj) -> "CycNumber":
-        f = get_field(int(obj["n"]))
-        acc = f.zero
-        for j, (num, den) in enumerate(obj["coeffs"]):
-            if num:
-                acc = acc + f.zeta_power(j) * Fraction(num, den)
-        return acc
+        """The element to_json wrote, over its coefficients' common denominator."""
+        den = lcm(*(d for _, d in obj["coeffs"]))
+        return CycNumber(get_field(int(obj["n"])), [x * (den // d) for x, d in obj["coeffs"]], den)
 
     def __repr__(self):
         terms = []

@@ -53,6 +53,7 @@ __all__ = [
     "GroupClosure",
     "canonicalize",
     "closure",
+    "linear_lift",
     "so3_generators",
     "so3_closure",
     "weil_closure",
@@ -159,16 +160,20 @@ def closure(gens, max_order: int = 10**7, names=None) -> GroupClosure:
     )
 
 
-def so3_generators(r: int):
-    """(names, matrices) for s, t and their inverses in the linear lift
-    (m_s, m_t) = (lambda_s rho(s), lambda_t rho(t)) of linear_lift_report.
-    The lift is unitary, so each inverse is exactly m^dagger.  Raises
-    ArithmeticError when there is no lift."""
+def linear_lift(r: int, scalars=None):
+    """(m_s, m_t) = (lambda_s rho(s), lambda_t rho(t)) for the given scalars
+    or those _lift_scalars solves for; ArithmeticError when there are none."""
     rho_s, rho_t = rho_genus1(r)
-    lift = _lift_scalars(rho_s, rho_t, r)
+    lift = scalars or _lift_scalars(rho_s, rho_t, r)
     if lift is None:
         raise ArithmeticError("the genus-1 pair has no linear lift")
-    m_s, m_t = rho_s.scalar_mul(lift[0]), rho_t.scalar_mul(lift[1])
+    return rho_s.scalar_mul(lift[0]), rho_t.scalar_mul(lift[1])
+
+
+def so3_generators(r: int):
+    """(names, matrices) for s, t and their inverses in linear_lift(r),
+    which is unitary: each inverse is exactly m^dagger."""
+    m_s, m_t = linear_lift(r)
     return ("s", "t", "S", "T"), (m_s, m_t, m_s.conj_transpose(), m_t.conj_transpose())
 
 
@@ -304,14 +309,12 @@ def linear_lift_report(r: int) -> dict:
             "minus_identity_acts_nontrivially": None,
             "linear_image": None,
         }
-    lam_s, lam_t = lift
-    m_s = rho_s.scalar_mul(lam_s)
-    m_t = rho_t.scalar_mul(lam_t)
+    m_s, m_t = linear_lift(r, lift)
     is_rep = _relators_hold(sl2_relators(r), m_t, m_s, CycMatrix.is_identity)
     faithful = not (m_s @ m_s).is_identity()
     return {
-        "lambda_s": lam_s.to_json(),
-        "lambda_t": lam_t.to_json(),
+        "lambda_s": lift[0].to_json(),
+        "lambda_t": lift[1].to_json(),
         "is_linear_representation": is_rep,
         "minus_identity_acts_nontrivially": faithful,
         "linear_image": "SL2" if faithful else "PSL2",

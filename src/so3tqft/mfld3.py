@@ -58,6 +58,9 @@ __all__ = [
 # longest word length norm_survey accepts
 MAX_SURVEY_LEN = 20
 
+# rows norm_survey multiplies by one stacked product, bounding its memory
+_SURVEY_ROWS = 64
+
 
 @dataclass(frozen=True)
 class ChainSurgery:
@@ -248,24 +251,27 @@ def norm_survey(md: ModularData, max_word_len: int) -> dict:
     breadth-first from I by right multiplication with g_s = (0, r-1, 1, 0)
     and g_t = (1, 1, 0, 1), to the depth max_word_len or until no new class
     appears.  Each class carries only row 0 of its image under the linear
-    lift (m_s, m_t), row(w g) = row(w) m_g, one stacked product per level
-    and generator; the lift scales rho by roots of unity, so x * conj(x) of
+    lift (m_s, m_t) with identify_group's scalars, row(w g) = row(w) m_g,
+    in stacked products of at most _SURVEY_ROWS rows per level and
+    generator; the lift scales rho by roots of unity, so x * conj(x) of
     its entry 0, the bucket key, is that of rho(w).  The keying rests on
     identify_group's certificate (else ArithmeticError): the lift satisfies
     the relators of SL2(F_r) at (m_t, m_s) and the projective kernel is the
     center, so +-M -> the class of its lift up to sign is a bijection, and
     the distinct-value count is bounded by the certified order."""
-    from .finite_image import identify_group, so3_generators
+    from .finite_image import identify_group, linear_lift
 
     if max_word_len > MAX_SURVEY_LEN:
         raise ValueError(f"survey capped at word length {MAX_SURVEY_LEN}")
     if max_word_len < 0:
         raise ValueError("survey word length must be non-negative")
     r, field = md.r, md.field
-    closure_order = identify_group(r)["order"]
+    found = identify_group(r)
+    closure_order = found["order"]
     if closure_order is None:
         raise ArithmeticError(f"no certificate that the genus-1 image at r={r} is PSL2(F_r)")
-    gens = tuple(zip(((0, r - 1, 1, 0), (1, 1, 0, 1)), so3_generators(r)[1][:2]))
+    lift = [CycNumber.from_json(found["linear_lift"][k]) for k in ("lambda_s", "lambda_t")]
+    gens = tuple(zip(((0, r - 1, 1, 0), (1, 1, 0, 1)), linear_lift(r, lift)))
 
     buckets = {}  # exact |x|^2 -> [|x| of its first class, rounded; class count]
     level, depth = [(1, 0, 0, 1)], 0  # the newest classes and their word length
@@ -288,8 +294,9 @@ def norm_survey(md: ModularData, max_word_len: int) -> dict:
                     seen.add(key)
                     nxt.append(key)
                     pick.append(i)
-            if pick:
-                parts.append(_normalize(_product(field, rows[pick], m.arr), dens[pick] * m.den))
+            for at in range(0, len(pick), _SURVEY_ROWS):
+                block = pick[at : at + _SURVEY_ROWS]
+                parts.append(_normalize(_product(field, rows[block], m.arr), dens[block] * m.den))
         if not nxt:
             break
         level, depth = nxt, depth + 1

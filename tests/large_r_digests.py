@@ -5,9 +5,10 @@ each run in a fresh process, against the table below.
 
 prints one line per command (digest, exit code, wall seconds, command) and
 exits 1 if any digest or exit code differs from the table.  The set takes
-about 15 s on a 2-vCPU machine, and its largest process peaks near 160 MB,
-so it is kept out of the pytest suite (no test_ prefix).  A change that
-alters any of these outputs must say so and update the digest."""
+about 25 s on a 2-vCPU machine, and its largest process (verify-all at
+r = 113) peaks near 235 MB, so it is kept out of the pytest suite (no test_
+prefix).  A change that alters any of these outputs must say so and update
+the digest."""
 
 import hashlib
 import os
@@ -60,6 +61,10 @@ DIGESTS = (
     (
         "verify-all --r 61 --json",
         "ea06f07d678f9f0460db542ffd223dd3219d02c00bab8a328be3bf2642f76dac",
+    ),
+    (
+        "verify-all --r 113 --json",
+        "c97cc8120c117faa3f46c28de0e85011933fd1b0e5f106a777e0d4743730bc33",
     ),
 )
 

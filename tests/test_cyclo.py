@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -283,6 +284,30 @@ def test_inverse_bound_from_the_shift_walk_equals_the_block_bound(n, monkeypatch
         assert x * u == f.one
         # the same bound, so the same split primes
         assert bounds[-1] == 1 << (1 + (s + 1) // 2), span
+
+
+@pytest.mark.parametrize("n", (76, 452))
+def test_inverse_reads_the_split_tables_transforms(n):
+    # a fresh field, so its split table holds only what the inversions build:
+    # one forward and one backward transform per prime, kept for the next
+    f = CycField(n)
+    rng = random.Random(n)
+    x = rand_elem(rng, f)
+    assert x * x.inv() == f.one
+    split = f.split
+    used = list(range(len(split.p)))
+    assert used and sorted(split._fwd) == sorted(split._back) == used
+    kept = [(split._fwd[i], split._back[i]) for i in used]
+    y = rand_elem(rng, f, 1)  # a smaller bound: no new prime
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    y.inv()
+    grown = tracemalloc.get_traced_memory()[0] - start
+    tracemalloc.stop()
+    assert len(split.p) == len(used)
+    assert sorted(split._fwd) == sorted(split._back) == used
+    assert all(split._fwd[i] is a and split._back[i] is b for i, (a, b) in enumerate(kept))
+    assert grown < kept[0][0].nbytes
 
 
 def recurrence_tables(n):
