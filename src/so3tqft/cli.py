@@ -234,10 +234,11 @@ def _cmd_image(args):
     if r > MAX_IMAGE_R:
         raise CapacityError(f"image capped at r <= {MAX_IMAGE_R}")
     from .finite_image import identify_group
-    from .weil import verify_odd_block_identification
 
     inputs = {"subcommand": "image", "r": r, "generators": args.generators}
     if args.generators == "weil":
+        from .weil import verify_odd_block_identification
+
         try:  # the odd Weil pair is a nonzero scalar multiple of the genus-1 pair
             verify_odd_block_identification(r)
         except ArithmeticError:

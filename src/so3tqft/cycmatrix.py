@@ -29,9 +29,9 @@ CycMatrix.is_unitary is checked that way.  The character-table
 certificates of sl2_char also work at the roots, but from the eigenvalue
 multiplicities of Dixon's method, with no power-basis table to transform;
 sl2_char.borel_check reads its Frobenius integers with _lift.
-A lift still runs for every product whose coefficients are kept: @,
-scalar_mul, matpow, the closure search and the presentation certificates.
-Each prime's interpolation matrix is built only once a lift needs it.
+A lift runs for every product whose coefficients are kept: @, scalar_mul,
+matpow, the closure search and identify_group's one relator walk.  Each
+prime's interpolation matrix is built only once a lift needs it.
 
 Matrices of roots of unity are built from their exponents: CycMatrix.roots
 reads a monomial matrix (the diagonal rho(t), the Heisenberg matrices, the
@@ -40,7 +40,7 @@ multiplied into words is kept as its exponents by _Letter, so its powers
 are power-table lookups; a product by it is an ordinary _product.  _walk
 applies (letter, exponent) runs through _Letter.times to a start row or to
 nothing: the chain bracket of mfld3 (from the row q), heegaard_word_matrix,
-heegaard_tau (from the row e_0) and finite_image._relators_hold.
+heegaard_tau (from the row e_0) and finite_image._relator_values.
 
 CycNumber objects are built only at the API edge: indexing, entries, rows
 and embedding.  to_json keeps each entry's coefficients as a view of the

@@ -1,23 +1,24 @@
 """The projective image of the genus-1 representation: identified by
 certificates, and enumerated as an independent check.
 
-identify_group(r) pins the group down without enumerating it.  The relators
-of Sunday's presentation of PSL2(F_r) are scalar at (rho(t), rho(s)), so
-s -> rho(s), t -> rho(t) induces a homomorphism out of PSL2(F_r); that group
-is simple for r >= 5 and rho(s) is not scalar, so the projective image is
-PSL2(F_r), of order r(r^2-1)/2.  The unique scalar normalization making the
-pair an honest linear representation is certified by the relators of the
-presentation of SL2(F_r), and its image distinguishes r = 1 from r = 3
-mod 4.  The projective order d of each generator word is its order in
-PSL2(F_r), found by integer arithmetic mod r, and certified exactly: the
-word's matrix to the d is scalar, and to d/q is not for any prime q | d.
-The relators are walked by cycmatrix._walk through cycmatrix._Letter, which
-keeps a diagonal letter (rho(t) and its lift) as the exponents of its roots
-of unity, so its powers, negative ones included, are read off the field's
-power table; every product by a letter is one exact matrix product.
+identify_group(r) pins the group down without enumerating it, from one
+walk of the relators of the presentation of SL2(F_r) at (rho(t), rho(s))
+and c = rho(s)^2.  Each is one of Sunday's relators of PSL2(F_r) times a
+power of y^2, or y^4, or y^2 x y^2 x^(r-1) = c^2 rho(t)^r for scalar c, so
+when c and every value are scalar, s -> rho(s), t -> rho(t) induces a
+homomorphism out of PSL2(F_r); that group is simple for r >= 5 and rho(s)
+is not scalar, so the projective image is PSL2(F_r), of order r(r^2-1)/2.
+The scalar normalization m = lambda rho that makes the pair linear needs
+no second walk: a relator walked with exponent sums (a, b) in (x, y) is
+lambda_t^a lambda_s^b times its value at rho, so the lift holds when each
+such product is 1, and m_s^2 = lambda_s^2 c tells r = 1 from 3 mod 4.  The
+projective order d of each generator word is its order in PSL2(F_r), by
+integer arithmetic mod r, certified exactly: the word's matrix to the d is
+scalar, and to d/q is not for any prime q | d.  The walk is cycmatrix._walk
+over _Letter: powers of the diagonal rho(t) are power-table lookups.
 
 The enumeration searches the group generated by the linear lift (m_s, m_t)
-and its inverses m^dagger, up to sign: linear_lift_report certifies that
+and its inverses m^dagger, up to sign: identify_group certifies that
 group to be SL2(F_r) or PSL2(F_r), whose only scalars are +-I, so its
 classes up to sign are the projective classes.  Of m and -m it keeps the
 one whose first nonzero coefficient is positive, so keying a class needs
@@ -47,7 +48,6 @@ from .cyclo import CycNumber
 from .cycmatrix import CycMatrix, _Letter, _normalize, _product, _stack_keys, _walk
 from .levels import prime_divisors, sl2_mul
 from .modular_data import genus1_letters, projective_relations, rho_genus1
-from .weil import verify_odd_block_identification
 
 __all__ = [
     "GroupClosure",
@@ -164,7 +164,7 @@ def linear_lift(r: int, scalars=None):
     """(m_s, m_t) = (lambda_s rho(s), lambda_t rho(t)) for the given scalars
     or those _lift_scalars solves for; ArithmeticError when there are none."""
     rho_s, rho_t = rho_genus1(r)
-    lift = scalars or _lift_scalars(rho_s, rho_t, r)
+    lift = scalars or _lift_scalars(genus1_letters(rho_s, rho_t)["st"], r)
     if lift is None:
         raise ArithmeticError("the genus-1 pair has no linear lift")
     return rho_s.scalar_mul(lift[0]), rho_t.scalar_mul(lift[1])
@@ -200,6 +200,8 @@ def weil_closure(r: int, max_order: int = 10**7) -> GroupClosure:
     rho(s) = S~ / D by construction, c_t is a root of unity and
     c_s = A^2 - A^-2 is checked nonzero, the odd Weil pair is a pair of
     nonzero scalar multiples of (rho(s), rho(t)): the same projective image."""
+    from .weil import verify_odd_block_identification
+
     verify_odd_block_identification(r)
     return _genus1_closure(r, max_order)
 
@@ -234,47 +236,37 @@ def sl2_relators(r: int) -> tuple:
     )
 
 
-def _relators_hold(relators, x, y, holds) -> bool:
-    """Whether holds(w(x, y)) for every relator w.  A negative exponent is
-    taken modulo n for the letter's power relator x^n or y^n, which is
-    checked too: when every relator holds, those powers are the inverses
-    (up to a scalar, when holds asks only for a scalar)."""
-    letters = {"x": _Letter(x), "y": _Letter(y)}
+def _scalar(m: CycMatrix):
+    """m's scalar, or None when m is not scalar."""
+    return m.scalar_value() if m.is_scalar() else None
+
+
+def _relator_values(relators, letters: dict) -> list:
+    """(v, a, b) for each relator w: w's scalar at the letters x and y or
+    None, and the exponent sums of x and y as walked.  A negative exponent
+    is taken modulo n for the letter's power relator x^n or y^n, walked
+    too: when that is scalar, the power is the inverse up to a scalar."""
     order = {w[0][0]: w[0][1] for w in relators if len(w) == 1}
-    return all(
-        holds(_walk(None, ((letters[a], e if e >= 0 else e % order[a]) for a, e in word)))
-        for word in relators
-    )
+    values = []
+    for word in relators:
+        runs = [(a, e if e >= 0 else e % order[a]) for a, e in word]
+        m = _walk(None, ((letters[a], e) for a, e in runs))
+        values.append((_scalar(m), *(sum(e for a, e in runs if a == z) for z in "xy")))
+    return values
 
 
 def mod_r_graph_report(r: int) -> dict:
-    """Certify that s -> rho(s), t -> rho(t) induces a homomorphism
-    SL2(F_r) -> PGL, and report its kernel.  It does exactly when every
-    relator of psl2_relators(r) is scalar at (rho(t), rho(s)); the pairs
-    (g, rho(g)) then generate its graph, of order r^3 - r.  The kernel
-    contains -I = s^2, and for r >= 5 the normal subgroups of SL2(F_r) are
-    1, {+-I} and SL2(F_r), so it is the center unless rho(s) and rho(t) are
-    both scalar.  When a relator fails, pair_closure_order and kernel_size
-    are None and kernel_is_center is False."""
-    rho_s, rho_t = rho_genus1(r)
-    hom = _relators_hold(psl2_relators(r), rho_t, rho_s, CycMatrix.is_scalar)
-    group_order = r * (r * r - 1)
-    trivial = rho_s.is_scalar() and rho_t.is_scalar()
-    return {
-        "pair_closure_order": group_order if hom else None,
-        "is_homomorphism": hom,
-        "kernel_size": (group_order if trivial else 2) if hom else None,
-        "kernel_is_center": hom and not trivial,
-    }
+    """identify_group(r)'s graph certificate."""
+    return identify_group(r)["mod_r_graph"]
 
 
-def _lift_scalars(rho_s, rho_t, r):
+def _lift_scalars(st: _Letter, r):
     """The unique (lambda_s, lambda_t) with lambda_s^4 = lambda_t^r = 1 and
-    lambda_s lambda_t^3 mu = 1, mu the projective braid scalar
-    (rho(s) rho(t))^3 = mu rho(s)^2 = mu I; None when the braid is not a
+    lambda_s lambda_t^3 mu = 1, mu the projective braid scalar of the letter
+    st: (rho(s) rho(t))^3 = mu rho(s)^2 = mu I; None when the braid is not a
     root of unity times I, so that no such pair exists."""
-    f = rho_s.field
-    braid = genus1_letters(rho_s, rho_t)["st"].power(3)
+    f = st.mat.field
+    braid = st.power(3)
     k = f.root_of_unity_exponent(braid[0, 0]) if braid.is_scalar() else None
     if k is None:
         return None
@@ -290,35 +282,8 @@ def _lift_scalars(rho_s, rho_t, r):
 
 
 def linear_lift_report(r: int) -> dict:
-    """Solve for the unique scalars (lambda_s, lambda_t) making
-    (m_s, m_t) = (lambda_s rho(s), lambda_t rho(t)) a linear representation
-    of SL2(F_r), certify it by the relators of sl2_relators(r) at (m_t, m_s),
-    and read off m_s^2, the image of -I = s^2.
-
-    The braid relation fixes lambda_s lambda_t^3 times the projective braid
-    scalar to be 1; with lambda_s^4 = lambda_t^r = 1 the pair is unique.
-    When there is no such pair, every field but is_linear_representation
-    (False) is None."""
-    rho_s, rho_t = rho_genus1(r)
-    lift = _lift_scalars(rho_s, rho_t, r)
-    if lift is None:
-        return {
-            "lambda_s": None,
-            "lambda_t": None,
-            "is_linear_representation": False,
-            "minus_identity_acts_nontrivially": None,
-            "linear_image": None,
-        }
-    m_s, m_t = linear_lift(r, lift)
-    is_rep = _relators_hold(sl2_relators(r), m_t, m_s, CycMatrix.is_identity)
-    faithful = not (m_s @ m_s).is_identity()
-    return {
-        "lambda_s": lift[0].to_json(),
-        "lambda_t": lift[1].to_json(),
-        "is_linear_representation": is_rep,
-        "minus_identity_acts_nontrivially": faithful,
-        "linear_image": "SL2" if faithful else "PSL2",
-    }
+    """identify_group(r)'s linear lift certificate."""
+    return identify_group(r)["linear_lift"]
 
 
 def _psl2_order(g, r: int) -> int:
@@ -340,21 +305,55 @@ def _certified_order(letter: _Letter, d: int):
 
 
 def identify_group(r: int) -> dict:
-    """The projective image of the genus-1 pair, identified from the
-    certificates: PSL2(F_r), of order r(r^2-1)/2, when the graph
-    certificate holds with the center as kernel, the linear lift is
-    certified and every generator order is certified.  Otherwise order is
-    None and matches is "neither"."""
+    """The projective image of the genus-1 pair, identified from one walk
+    of sl2_relators(r) (module docstring): PSL2(F_r), of order r(r^2-1)/2,
+    when the graph certificate holds with the center as kernel, the lift is
+    certified and every generator order is certified; else order is None
+    and matches is "neither".  The graph has order r^3 - r and its kernel
+    contains -I = s^2; SL2(F_r), r >= 5, has normal subgroups 1, {+-I} and
+    itself, so the kernel is the center unless rho(s), rho(t) are scalar.
+    A failed relator leaves pair_closure_order and kernel_size None; no
+    lift scalars leave every lift field but is_linear_representation None."""
     full = r * (r * r - 1)
     half = full // 2
-    graph = mod_r_graph_report(r)
-    lift = linear_lift_report(r)
+    rho_s, rho_t = rho_genus1(r)
+    letters = genus1_letters(rho_s, rho_t)
+    walked = _relator_values(sl2_relators(r), {"x": letters["t"], "y": letters["s"]})
+    c = _scalar(letters["s"].power(2))
+    hom = c is not None and None not in [v for v, _, _ in walked]
+    trivial = rho_s.is_scalar() and rho_t.is_scalar()
+    graph = {
+        "pair_closure_order": full if hom else None,
+        "is_homomorphism": hom,
+        "kernel_size": (full if trivial else 2) if hom else None,
+        "kernel_is_center": hom and not trivial,
+    }
 
-    letters = genus1_letters(*rho_genus1(r))
+    scalars = _lift_scalars(letters["st"], r)
+    if scalars is None:
+        lift = {
+            "lambda_s": None,
+            "lambda_t": None,
+            "is_linear_representation": False,
+            "minus_identity_acts_nontrivially": None,
+            "linear_image": None,
+        }
+    else:
+        lam_s, lam_t = scalars
+        is_rep = all(v is not None and lam_t**a * lam_s**b * v == 1 for v, a, b in walked)
+        faithful = c is None or lam_s * lam_s * c != 1
+        lift = {
+            "lambda_s": lam_s.to_json(),
+            "lambda_t": lam_t.to_json(),
+            "is_linear_representation": is_rep,
+            "minus_identity_acts_nontrivially": faithful,
+            "linear_image": "SL2" if faithful else "PSL2",
+        }
+
     g_s, g_t = (0, r - 1, 1, 0), (1, 1, 0, 1)  # the generators s, t of SL2(F_r)
     words = (("s", g_s), ("t", g_t), ("st", sl2_mul(g_s, g_t, r)))
     orders = {name: _certified_order(letters[name], _psl2_order(g, r)) for name, g in words}
-    # the same letters, so the powers of the orders serve the relations too
+    # the same letters, so the walk's powers and the braid cube serve these too
     relations = projective_relations(r, letters)
     certified = (
         graph["kernel_is_center"]

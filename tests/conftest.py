@@ -8,18 +8,21 @@ PRIMES = (5, 7, 11, 13)
 @pytest.fixture
 def break_certificate(monkeypatch):
     """break_certificate(r, how) patches finite_image so that one certificate
-    of the level-r pair fails: rho(t) -> rho(t)^2, s and t swapped, or the
-    lift scalar lambda_t times zeta_r."""
+    of the level-r pair fails: rho(t) -> rho(t)^2, s and t swapped, the lift
+    scalar lambda_t times zeta_r, or lambda_s negated (which keeps
+    lambda_s^4 = 1 but breaks lambda_s lambda_t^3 mu = 1)."""
     import so3tqft.finite_image as finite_image
 
     def apply(r, how):
         rho_s, rho_t = finite_image.rho_genus1(r)
-        if how == "lambda_t_times_zeta_r":
+        if how in ("lambda_t_times_zeta_r", "lambda_s_negated"):
             lift = finite_image._lift_scalars
             zeta_r = rho_s.field.zeta_power(4)
 
             def tampered(*args):
                 lam_s, lam_t = lift(*args)
+                if how == "lambda_s_negated":
+                    return -lam_s, lam_t
                 return lam_s, lam_t * zeta_r
 
             monkeypatch.setattr(finite_image, "_lift_scalars", tampered)

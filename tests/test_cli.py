@@ -133,7 +133,9 @@ def test_image_at_the_cap(capsys):
     assert report["linear_lift"]["linear_image"] == ("SL2" if r % 4 == 1 else "PSL2")
 
 
-@pytest.mark.parametrize("how", ("t_squared", "s_t_swapped", "lambda_t_times_zeta_r"))
+@pytest.mark.parametrize(
+    "how", ("t_squared", "s_t_swapped", "lambda_t_times_zeta_r", "lambda_s_negated")
+)
 def test_image_exits_1_when_a_certificate_fails(capsys, how, break_certificate):
     break_certificate(7, how)
     code, out, err = run(capsys, "image", "--r", "7", "--json")
@@ -259,7 +261,8 @@ from so3tqft.cli import MAX_IMAGE_R, main
 from so3tqft.levels import is_odd_prime
 
 assert main(["image", "--r", "5", "--json"]) == 0
-assert not {"so3tqft.sl2_char", "so3tqft.mfld3", "so3tqft.fusion_dims"} & set(sys.modules)
+not_loaded = {"so3tqft.sl2_char", "so3tqft.mfld3", "so3tqft.fusion_dims", "so3tqft.weil"}
+assert not not_loaded & set(sys.modules), sorted(not_loaded & set(sys.modules))
 """
 
 

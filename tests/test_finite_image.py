@@ -24,7 +24,12 @@ from so3tqft.finite_image import (
     so3_generators,
     weil_closure,
 )
-from so3tqft.modular_data import build_modular_data, rho_genus1
+from so3tqft.modular_data import (
+    build_modular_data,
+    genus1_letters,
+    projective_relations,
+    rho_genus1,
+)
 from so3tqft.levels import sl2_mul
 from so3tqft.sl2_char import sl2_inv
 
@@ -377,21 +382,125 @@ def test_linear_lift_rejects_a_tampered_scalar(r, monkeypatch):
 
 def test_relator_check_evaluates_each_power():
     rho_s, rho_t = rho_genus1(7)
-    check = lambda relators: finite_image._relators_hold(
-        relators, rho_t, rho_s, CycMatrix.is_scalar
-    )
-    assert check(((("x", 7),), (("y", 2),), (("x", 3), ("y", 1), ("y", -1), ("x", -3))))
-    assert not check(((("x", 5),), (("y", 2),)))
-    assert not check(((("x", 7),), (("y", 2),), (("x", 1), ("y", -1))))
+    letters = {"x": finite_image._Letter(rho_t), "y": finite_image._Letter(rho_s)}
+    walk = lambda relators: finite_image._relator_values(relators, letters)
+    walked = walk(((("x", 7),), (("y", 2),), (("x", 3), ("y", 1), ("y", -1), ("x", -3))))
+    assert None not in [v for v, _, _ in walked]
+    # each negative exponent taken modulo its letter's power relator
+    assert [(a, b) for _, a, b in walked] == [(7, 0), (0, 2), (7, 2)]
+    assert walked[2][0] == walked[0][0] * walked[1][0]  # x^3 y y x^4 = x^7 y^2
+    assert [v is None for v, _, _ in walk(((("x", 5),), (("y", 2),)))] == [True, False]
+    assert walk(((("x", 7),), (("y", 2),), (("x", 1), ("y", -1))))[2][0] is None
 
 
-@pytest.mark.parametrize("how", ("t_squared", "s_t_swapped", "lambda_t_times_zeta_r"))
+TAMPERS = ("t_squared", "s_t_swapped", "lambda_t_times_zeta_r", "lambda_s_negated")
+
+
+@pytest.mark.parametrize("how", TAMPERS)
 @pytest.mark.parametrize("r", (5, 7, 11, 13))
 def test_identify_group_rejects_a_tampered_certificate(r, how, break_certificate):
     break_certificate(r, how)
     rep = identify_group(r)
     assert rep["matches"] == "neither"
     assert rep["order"] is None
+
+
+# The two walks that identify_group's one walk replaced, kept as its oracle:
+# Sunday's PSL2 relators scalar at (rho(t), rho(s)) for the graph, then the
+# SL2 relators equal to I at the linear lift (m_t, m_s), and m_s^2 for -I.
+
+
+def relators_hold(relators, x, y, holds):
+    letters = {"x": finite_image._Letter(x), "y": finite_image._Letter(y)}
+    order = {w[0][0]: w[0][1] for w in relators if len(w) == 1}
+    return all(
+        holds(cycmatrix._walk(None, ((letters[a], e if e >= 0 else e % order[a]) for a, e in w)))
+        for w in relators
+    )
+
+
+def reference_identify_group(r):
+    rho_s, rho_t = finite_image.rho_genus1(r)
+    full = r * (r * r - 1)
+    hom = relators_hold(psl2_relators(r), rho_t, rho_s, CycMatrix.is_scalar)
+    trivial = rho_s.is_scalar() and rho_t.is_scalar()
+    graph = {
+        "pair_closure_order": full if hom else None,
+        "is_homomorphism": hom,
+        "kernel_size": (full if trivial else 2) if hom else None,
+        "kernel_is_center": hom and not trivial,
+    }
+    letters = genus1_letters(rho_s, rho_t)
+    scalars = finite_image._lift_scalars(letters["st"], r)
+    lift = {
+        "lambda_s": None,
+        "lambda_t": None,
+        "is_linear_representation": False,
+        "minus_identity_acts_nontrivially": None,
+        "linear_image": None,
+    }
+    if scalars is not None:
+        m_s, m_t = finite_image.linear_lift(r, scalars)
+        faithful = not (m_s @ m_s).is_identity()
+        lift = {
+            "lambda_s": scalars[0].to_json(),
+            "lambda_t": scalars[1].to_json(),
+            "is_linear_representation": relators_hold(
+                sl2_relators(r), m_t, m_s, CycMatrix.is_identity
+            ),
+            "minus_identity_acts_nontrivially": faithful,
+            "linear_image": "SL2" if faithful else "PSL2",
+        }
+    g_s, g_t = (0, r - 1, 1, 0), (1, 1, 0, 1)
+    words = (("s", g_s), ("t", g_t), ("st", sl2_mul(g_s, g_t, r)))
+    orders = {
+        name: finite_image._certified_order(letters[name], finite_image._psl2_order(g, r))
+        for name, g in words
+    }
+    certified = (
+        graph["kernel_is_center"]
+        and lift["is_linear_representation"]
+        and None not in orders.values()
+    )
+    return {
+        "r": r,
+        "order": full // 2 if certified else None,
+        "sl2_order": full,
+        "psl2_order": full // 2,
+        "matches": "PSL2" if certified else "neither",
+        "generator_orders": orders,
+        "relations": projective_relations(r, letters),
+        "mod_r_graph": graph,
+        "linear_lift": lift,
+        "r_mod_4": r % 4,
+    }
+
+
+@pytest.mark.parametrize("how", (None,) + TAMPERS)
+@pytest.mark.parametrize("r", [p for p in range(5, 44) if is_odd_prime(p)])
+def test_one_walk_matches_the_two_walk_route(r, how, break_certificate):
+    if how:
+        break_certificate(r, how)
+    want = reference_identify_group(r)
+    assert identify_group(r) == want
+    assert mod_r_graph_report(r) == want["mod_r_graph"]
+    assert linear_lift_report(r) == want["linear_lift"]
+
+
+def test_identify_group_walks_the_relators_once(monkeypatch):
+    # reference_identify_group takes 40 products at r = 7 (the two walks
+    # and m_s^2); one walk takes 22: st and its cube (3), s^2 and s^4 (2),
+    # and 17 for the letters of the five relators
+    rho_genus1(7)
+    product, calls = cycmatrix._product, [0]
+
+    def spy(*args):
+        calls[0] += 1
+        return product(*args)
+
+    monkeypatch.setattr(cycmatrix, "_product", spy)
+    identify_group(7)
+    assert calls[0] <= 22
 
 
 def test_certified_order_is_exact():
